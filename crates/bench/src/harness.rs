@@ -1,9 +1,5 @@
 //! Shared benchmark runners.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
-use std::time::Duration;
-
 use gubpi_core::{
     AnalysisOptions, Analyzer, CancelToken, ExecReport, QueryOutcome, Severity, SharedQueryCache,
 };
@@ -14,197 +10,171 @@ use rand::SeedableRng;
 
 use crate::models::{FigureBenchmark, ProbBenchmark};
 
-/// The query cache shared by every analyzer the harness builds over one
-/// process (so a whole `repro` run reuses warm per-path bounds — sound
-/// across unrelated models because hits re-verify paths structurally).
+/// One benchmark run: the engine configuration every analyzer of the
+/// run starts from, the state the run's analyzers share, and the census
+/// the `repro --stats` report prints.
 ///
-/// Bounded when `GUBPI_CACHE_CAP` is set to a positive entry count
-/// (`repro --cache-cap N` wires the flag to the env var, mirroring
-/// `--threads` / `GUBPI_THREADS`); unbounded otherwise. Invalid values
-/// degrade to unbounded rather than aborting a long benchmark run.
-pub fn shared_analysis_cache() -> &'static SharedQueryCache {
-    static CACHE: OnceLock<SharedQueryCache> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        match std::env::var("GUBPI_CACHE_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&cap| cap > 0)
-        {
-            Some(cap) => SharedQueryCache::with_capacity(cap),
-            None => SharedQueryCache::new(),
+/// `repro` builds one from its flags; [`Run::default`] (library
+/// defaults, unbounded cache, no deadline) serves tests and benches.
+/// Runs share nothing but the process-global worker pool, so two runs
+/// in one process keep separate caches and counts.
+#[derive(Default)]
+pub struct Run {
+    /// Base options; per-benchmark settings spread from these, so a
+    /// `repro` flag reaches every analyzer the run builds.
+    pub opts: AnalysisOptions,
+    /// The query cache shared by every analyzer of the run (a whole
+    /// `repro` run reuses warm per-path bounds — sound across unrelated
+    /// models because hits re-verify paths structurally).
+    pub cache: SharedQueryCache,
+    /// One cooperative deadline over the whole run (`repro
+    /// --timeout-ms`): once it fires, every later query degrades to its
+    /// coarse anytime bounds instead of blocking.
+    pub deadline: Option<CancelToken>,
+    /// Print each program's lints as its analyzer is built (`--lint`).
+    pub lint: bool,
+    census: Census,
+}
+
+/// What the run's analyzers and deadline-scoped queries saw so far.
+#[derive(Clone, Copy, Debug)]
+struct Census {
+    exec: ExecReport,
+    lint_warnings: usize,
+    timed_queries: u64,
+    degraded_queries: u64,
+    min_completeness: f64,
+}
+
+impl Default for Census {
+    fn default() -> Census {
+        Census {
+            exec: ExecReport::default(),
+            lint_warnings: 0,
+            timed_queries: 0,
+            degraded_queries: 0,
+            min_completeness: 1.0,
         }
-    })
-}
-
-/// Running totals of the static-analysis effects across every analyzer
-/// the harness built this process, for the `--stats` report.
-static PRUNED_BRANCHES: AtomicUsize = AtomicUsize::new(0);
-static ZERO_SCORE_DROPS: AtomicUsize = AtomicUsize::new(0);
-static BUDGET_TRUNCATED: AtomicUsize = AtomicUsize::new(0);
-static DEPTH_TRUNCATED: AtomicUsize = AtomicUsize::new(0);
-static TAIL_ENCLOSED: AtomicUsize = AtomicUsize::new(0);
-static RANKED_TAIL: AtomicUsize = AtomicUsize::new(0);
-static LINT_WARNINGS: AtomicUsize = AtomicUsize::new(0);
-
-/// The [`ExecReport`] counters summed over every `shared_analyzer` call
-/// so far (one symbolic execution per analyzer).
-pub fn aggregated_exec_report() -> ExecReport {
-    ExecReport {
-        pruned_branches: PRUNED_BRANCHES.load(Ordering::Relaxed),
-        zero_score_drops: ZERO_SCORE_DROPS.load(Ordering::Relaxed),
-        budget_truncated_paths: BUDGET_TRUNCATED.load(Ordering::Relaxed),
-        depth_truncated_paths: DEPTH_TRUNCATED.load(Ordering::Relaxed),
-        tail_enclosed_paths: TAIL_ENCLOSED.load(Ordering::Relaxed),
-        ranked_tail_paths: RANKED_TAIL.load(Ordering::Relaxed),
     }
 }
 
-/// Number of `Severity::Warning` lints seen across every `--lint`-mode
-/// analyzer build; `repro --lint --deny-warnings` fails if nonzero.
-pub fn lint_warnings_seen() -> usize {
-    LINT_WARNINGS.load(Ordering::Relaxed)
+impl Census {
+    fn note(&mut self, o: &QueryOutcome) {
+        self.timed_queries += 1;
+        if o.degraded {
+            self.degraded_queries += 1;
+        }
+        self.min_completeness = self.min_completeness.min(o.completeness.max(0.0));
+    }
 }
 
-/// Builds an analyzer attached to the harness-wide shared cache (and
-/// therefore the process-global persistent worker pool).
-///
-/// Two env switches mirror the `repro` CLI the way `GUBPI_THREADS`
-/// mirrors `--threads`: `GUBPI_NO_PRUNE` disables static dead-branch
-/// pruning (the `--no-prune` escape hatch; bounds are bit-identical,
-/// only the explored path count changes) and `GUBPI_LINT` prints the
-/// program's lints as the analyzer is built (`--lint`). A third,
-/// `GUBPI_NO_TAIL` (`--no-tail`), is consumed by
-/// `PathBoundOptions::default()` itself and reverts budget-⊤ paths to
-/// their bare `[0, ∞]` score placeholders.
-pub fn shared_analyzer(source: &str, mut opts: AnalysisOptions) -> Analyzer {
-    if env_flag("GUBPI_NO_PRUNE") {
-        opts.prune = false;
-    }
-    let a = Analyzer::from_source_with_cache(source, opts, shared_analysis_cache())
-        .expect("benchmark must compile");
-    let r = a.exec_report();
-    PRUNED_BRANCHES.fetch_add(r.pruned_branches, Ordering::Relaxed);
-    ZERO_SCORE_DROPS.fetch_add(r.zero_score_drops, Ordering::Relaxed);
-    BUDGET_TRUNCATED.fetch_add(r.budget_truncated_paths, Ordering::Relaxed);
-    DEPTH_TRUNCATED.fetch_add(r.depth_truncated_paths, Ordering::Relaxed);
-    TAIL_ENCLOSED.fetch_add(r.tail_enclosed_paths, Ordering::Relaxed);
-    RANKED_TAIL.fetch_add(r.ranked_tail_paths, Ordering::Relaxed);
-    if env_flag("GUBPI_LINT") {
-        for lint in a.lints() {
-            if lint.severity == Severity::Warning {
-                LINT_WARNINGS.fetch_add(1, Ordering::Relaxed);
+impl Run {
+    /// Builds an analyzer attached to the run's cache (and therefore the
+    /// process-global persistent worker pool), adding its execution
+    /// report to the census and, in lint mode, printing its lints.
+    pub fn analyzer(&mut self, source: &str, opts: AnalysisOptions) -> Analyzer {
+        let a = Analyzer::from_source_with_cache(source, opts, &self.cache)
+            .expect("benchmark must compile");
+        let r = a.exec_report();
+        let e = &mut self.census.exec;
+        e.pruned_branches += r.pruned_branches;
+        e.zero_score_drops += r.zero_score_drops;
+        e.budget_truncated_paths += r.budget_truncated_paths;
+        e.depth_truncated_paths += r.depth_truncated_paths;
+        e.tail_enclosed_paths += r.tail_enclosed_paths;
+        e.ranked_tail_paths += r.ranked_tail_paths;
+        if self.lint {
+            for lint in a.lints() {
+                if lint.severity == Severity::Warning {
+                    self.census.lint_warnings += 1;
+                }
+                println!("lint: {}", lint.render(source));
             }
-            println!("lint: {}", lint.render(source));
+        }
+        a
+    }
+
+    /// The [`ExecReport`] counters summed over every analyzer the run
+    /// built (one symbolic execution per analyzer).
+    pub fn exec_report(&self) -> ExecReport {
+        self.census.exec
+    }
+
+    /// Number of `Severity::Warning` lints printed in lint mode;
+    /// `repro --lint --deny-warnings` fails if nonzero.
+    pub fn lint_warnings(&self) -> usize {
+        self.census.lint_warnings
+    }
+
+    /// Records one deadline-scoped query outcome in the census (the
+    /// timed queries call this; `repro query` calls it directly because
+    /// it needs the full [`QueryOutcome`] for its report line and exit
+    /// code).
+    pub fn note_outcome(&mut self, o: &QueryOutcome) {
+        self.census.note(o);
+    }
+
+    /// `(timed, degraded, min_completeness)` across every timed query so
+    /// far; `None` when the run has no deadline.
+    pub fn deadline_report(&self) -> Option<(u64, u64, f64)> {
+        self.deadline.as_ref()?;
+        let c = &self.census;
+        Some((c.timed_queries, c.degraded_queries, c.min_completeness))
+    }
+
+    /// [`Analyzer::denotation_bounds`] under the run's deadline: past it
+    /// the bounds degrade to sound coarse enclosures instead of
+    /// blocking. Without a deadline this is exactly `denotation_bounds`.
+    pub fn denotation_bounds(&mut self, a: &Analyzer, u: Interval) -> (f64, f64) {
+        match &self.deadline {
+            None => a.denotation_bounds(u),
+            Some(token) => {
+                let o = a.denotation_outcome(u, Some(token));
+                self.census.note(&o);
+                o.bounds()
+            }
         }
     }
-    a
-}
 
-/// `true` iff the env var is set to anything but `""` or `"0"`.
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// The process-wide deadline token from `GUBPI_TIMEOUT_MS` (`repro
-/// --timeout-ms N`), armed at the first timed query, or `None` when no
-/// deadline is configured. One token covers the whole run: once it
-/// fires, every later query degrades to its coarse anytime bounds —
-/// the run finishes fast with sound (wide) results instead of hanging.
-pub fn deadline_token() -> Option<&'static CancelToken> {
-    static TOKEN: OnceLock<Option<CancelToken>> = OnceLock::new();
-    TOKEN
-        .get_or_init(|| {
-            std::env::var("GUBPI_TIMEOUT_MS")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .map(|ms| CancelToken::with_timeout(Duration::from_millis(ms)))
-        })
-        .as_ref()
-}
-
-/// Degradation census across every timed query this process, for the
-/// `--stats` report: timed queries, how many were degraded, and the
-/// worst completeness fraction (stored as `f64` bits — non-negative
-/// floats order the same way as their bit patterns, so `fetch_min`
-/// works).
-static TIMED_QUERIES: AtomicU64 = AtomicU64::new(0);
-static DEGRADED_QUERIES: AtomicU64 = AtomicU64::new(0);
-static MIN_COMPLETENESS_BITS: AtomicU64 = AtomicU64::new(0x3FF0_0000_0000_0000); // 1.0f64
-
-/// Records one deadline-scoped query outcome in the census (the timed
-/// helpers call this; `repro query` calls it directly because it needs
-/// the full [`QueryOutcome`] for its report line and exit code).
-pub fn note_query_outcome(o: &QueryOutcome) {
-    TIMED_QUERIES.fetch_add(1, Ordering::Relaxed);
-    if o.degraded {
-        DEGRADED_QUERIES.fetch_add(1, Ordering::Relaxed);
-    }
-    MIN_COMPLETENESS_BITS.fetch_min(o.completeness.max(0.0).to_bits(), Ordering::Relaxed);
-}
-
-/// `(timed, degraded, min_completeness)` across every timed query so
-/// far; `None` when no `GUBPI_TIMEOUT_MS` deadline is configured.
-pub fn deadline_report() -> Option<(u64, u64, f64)> {
-    deadline_token()?;
-    Some((
-        TIMED_QUERIES.load(Ordering::Relaxed),
-        DEGRADED_QUERIES.load(Ordering::Relaxed),
-        f64::from_bits(MIN_COMPLETENESS_BITS.load(Ordering::Relaxed)),
-    ))
-}
-
-/// [`Analyzer::denotation_bounds`] under the process deadline (when
-/// `GUBPI_TIMEOUT_MS` is set): past the deadline the bounds degrade to
-/// sound coarse enclosures instead of blocking. Without a deadline
-/// this is exactly `denotation_bounds`.
-pub fn timed_denotation_bounds(a: &Analyzer, u: Interval) -> (f64, f64) {
-    match deadline_token() {
-        None => a.denotation_bounds(u),
-        Some(token) => {
-            let o = a.denotation_outcome(u, Some(token));
-            note_query_outcome(&o);
-            o.bounds()
+    /// [`Analyzer::posterior_probability`] under the run's deadline; see
+    /// [`Run::denotation_bounds`].
+    pub fn posterior_probability(&mut self, a: &Analyzer, u: Interval) -> (f64, f64) {
+        match &self.deadline {
+            None => a.posterior_probability(u),
+            Some(token) => {
+                let o = a.posterior_outcome(u, Some(token));
+                self.census.note(&o);
+                o.bounds()
+            }
         }
     }
-}
 
-/// [`Analyzer::posterior_probability`] under the process deadline; see
-/// [`timed_denotation_bounds`].
-pub fn timed_posterior_probability(a: &Analyzer, u: Interval) -> (f64, f64) {
-    match deadline_token() {
-        None => a.posterior_probability(u),
-        Some(token) => {
-            let o = a.posterior_outcome(u, Some(token));
-            note_query_outcome(&o);
-            o.bounds()
-        }
+    /// Runs the GuBPI analyzer on a Table 1 benchmark, returning the
+    /// guaranteed bounds on `P(result ∈ U)`.
+    pub fn prob_benchmark(&mut self, b: &ProbBenchmark) -> (f64, f64) {
+        let opts = AnalysisOptions {
+            sym: SymExecOptions {
+                max_fix_unfoldings: b.unfold,
+                ..self.opts.sym
+            },
+            ..self.opts
+        };
+        let a = self.analyzer(b.source, opts);
+        self.denotation_bounds(&a, b.u)
     }
-}
 
-/// Runs the GuBPI analyzer on a Table 1 benchmark, returning the
-/// guaranteed bounds on `P(result ∈ U)`.
-pub fn analyze_prob_benchmark(b: &ProbBenchmark) -> (f64, f64) {
-    let opts = AnalysisOptions {
-        sym: SymExecOptions {
-            max_fix_unfoldings: b.unfold,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    timed_denotation_bounds(&shared_analyzer(b.source, opts), b.u)
-}
-
-/// Builds an analyzer configured for a figure benchmark.
-pub fn analyzer_for_figure(b: &FigureBenchmark) -> Analyzer {
-    let mut opts = AnalysisOptions {
-        sym: SymExecOptions {
-            max_fix_unfoldings: b.unfold,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    opts.bounds.splits = b.splits;
-    shared_analyzer(b.source, opts)
+    /// Builds an analyzer configured for a figure benchmark.
+    pub fn figure_analyzer(&mut self, b: &FigureBenchmark) -> Analyzer {
+        let mut opts = AnalysisOptions {
+            sym: SymExecOptions {
+                max_fix_unfoldings: b.unfold,
+                ..self.opts.sym
+            },
+            ..self.opts
+        };
+        opts.bounds.splits = b.splits;
+        self.analyzer(b.source, opts)
+    }
 }
 
 /// Monte-Carlo estimate of `P(result ∈ U)` by likelihood weighting —
@@ -229,7 +199,7 @@ mod tests {
     #[test]
     fn table1_first_row_runs_end_to_end() {
         let b = &models::table1()[3]; // ex-book-s, count >= 2 (cheap)
-        let (lo, hi) = analyze_prob_benchmark(b);
+        let (lo, hi) = Run::default().prob_benchmark(b);
         // Binomial(5, 1/2): P(count ≥ 2) = 1 − 6/32 = 0.8125, and the
         // discrete model should be computed (near-)exactly.
         assert!(lo <= 0.8125 && 0.8125 <= hi, "[{lo}, {hi}]");
@@ -242,7 +212,7 @@ mod tests {
             .into_iter()
             .find(|b| b.name == "example4")
             .unwrap();
-        let (lo, hi) = analyze_prob_benchmark(&b);
+        let (lo, hi) = Run::default().prob_benchmark(&b);
         let mc = mc_probability(b.source, b.u, 40_000, 7);
         assert!(
             lo - 0.01 <= mc && mc <= hi + 0.01,
@@ -250,5 +220,35 @@ mod tests {
         );
         // Exact value 0.18 = (6²/2)/100 up to float rounding.
         assert!(lo <= 0.18 + 1e-12 && 0.18 <= hi + 1e-12);
+    }
+
+    #[test]
+    fn runs_keep_separate_census_counts() {
+        // twoCoins scores a static zero, so each build drops paths.
+        let two_coins = models::table2()
+            .into_iter()
+            .find(|b| b.name == "twoCoins")
+            .expect("twoCoins is in table2");
+        let mut a = Run {
+            lint: true,
+            ..Run::default()
+        };
+        let mut b = Run {
+            deadline: Some(CancelToken::new()),
+            ..Run::default()
+        };
+        let opts = a.opts;
+        a.analyzer(two_coins.source, opts);
+        a.analyzer(two_coins.source, opts);
+        let analyzer = b.analyzer(two_coins.source, opts);
+        b.posterior_probability(&analyzer, Interval::new(0.5, 1.5));
+        let (pa, pb) = (a.exec_report(), b.exec_report());
+        assert!(pb.zero_score_drops > 0, "{pb:?}");
+        assert_eq!(pa.zero_score_drops, 2 * pb.zero_score_drops);
+        assert_eq!(pa.pruned_branches, 2 * pb.pruned_branches);
+        assert_eq!(a.deadline_report(), None, "a has no deadline");
+        assert_eq!(b.deadline_report(), Some((1, 0, 1.0)));
+        assert_eq!(a.lint_warnings(), 0, "the catalog is warning-clean");
+        assert_eq!(Run::default().exec_report(), ExecReport::default());
     }
 }

@@ -18,8 +18,4 @@ pub mod models;
 
 pub use baseline56::{baseline56_bounds, BaselineOptions};
 pub use groundtruth::Ratio;
-pub use harness::{
-    aggregated_exec_report, analyze_prob_benchmark, analyzer_for_figure, deadline_report,
-    deadline_token, lint_warnings_seen, mc_probability, note_query_outcome, shared_analysis_cache,
-    shared_analyzer, timed_denotation_bounds, timed_posterior_probability,
-};
+pub use harness::{mc_probability, Run};

@@ -5,8 +5,8 @@
 
 use std::process::Command;
 
-use bench::analyze_prob_benchmark;
 use bench::models::ProbBenchmark;
+use bench::Run;
 use gubpi_interval::Interval;
 
 /// Path to the compiled `repro` binary (provided by Cargo for
@@ -69,7 +69,7 @@ fn tiny_model_end_to_end() {
         u: Interval::new(0.5, 1.0),
         unfold: 2,
     };
-    let (lo, hi) = analyze_prob_benchmark(&b);
+    let (lo, hi) = Run::default().prob_benchmark(&b);
     assert!(
         lo <= 0.5 && 0.5 <= hi,
         "bounds [{lo}, {hi}] must contain 0.5"
@@ -117,11 +117,8 @@ fn repro_help_documents_the_new_flags() {
     for needle in [
         "--cache-cap",
         "--stats",
-        "GUBPI_CACHE_CAP",
         "--no-kernel",
-        "GUBPI_NO_KERNEL",
         "--no-prune",
-        "GUBPI_NO_PRUNE",
         "--lint",
         "--deny-warnings",
         "analyze",
@@ -191,7 +188,6 @@ fn repro_no_prune_and_stats_report_prune_counters() {
     // the counters line must be present either way.
     let out = Command::new(REPRO)
         .args(["--no-prune", "--stats", "smoke"])
-        .env_remove("GUBPI_NO_PRUNE")
         .output()
         .expect("repro binary runs");
     assert!(out.status.success(), "status: {:?}", out.status);
@@ -219,7 +215,6 @@ fn repro_accepts_no_kernel_and_reports_kernel_stats() {
     // `--stats` reports it disabled after a real (tiny) analysis run.
     let out = Command::new(REPRO)
         .args(["--no-kernel", "--stats", "smoke"])
-        .env_remove("GUBPI_NO_KERNEL")
         .output()
         .expect("repro binary runs");
     assert!(out.status.success(), "status: {:?}", out.status);
@@ -229,15 +224,20 @@ fn repro_accepts_no_kernel_and_reports_kernel_stats() {
         "stats must report the interpreter fallback:\n{text}"
     );
     // With the kernel on, the same command reports tape statistics.
-    let out = Command::new(REPRO)
-        .args(["--stats", "smoke"])
-        .env_remove("GUBPI_NO_KERNEL")
-        .output()
-        .expect("repro binary runs");
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        text.contains("kernel:") && text.contains("tapes") && text.contains("cells/s"),
-        "stats must report tape length / CSE / cells-per-second:\n{text}"
-    );
+    // Flags are the only switch: an inherited `GUBPI_NO_KERNEL` (the
+    // removed environment mirror of `--no-kernel`) must not turn it off.
+    for env in [None, Some(("GUBPI_NO_KERNEL", "1"))] {
+        let mut cmd = Command::new(REPRO);
+        cmd.args(["--stats", "smoke"]);
+        if let Some((key, value)) = env {
+            cmd.env(key, value);
+        }
+        let out = cmd.output().expect("repro binary runs");
+        assert!(out.status.success());
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            text.contains("kernel:") && text.contains("tapes") && text.contains("cells/s"),
+            "stats must report tape length / CSE / cells-per-second (env {env:?}):\n{text}"
+        );
+    }
 }

@@ -56,9 +56,8 @@ pub struct AnalysisOptions {
     /// most to the upper−lower gap) instead of the one-shot uniform
     /// sweep, at the *same* cell budget. Histograms always use the
     /// uniform sweep (their sinks need the full value-range partition).
-    /// The default honours the `GUBPI_NO_REFINE` escape hatch (`repro
-    /// --no-refine`), under which query bounds are bit-identical to the
-    /// uniform sweep.
+    /// Default `true`; with `false` query bounds are bit-identical to
+    /// the uniform sweep.
     pub refine: bool,
     /// Stop refining a query early once the summed gap of its refined
     /// paths drops to this value; `0.0` (default) spends the full cell

@@ -146,10 +146,8 @@ pub struct PathBoundOptions {
     /// Evaluate region sweeps through the compiled interval-tape kernel
     /// (`gubpi_symbolic::kernel`) instead of the tree-walking
     /// interpreter. Bounds are **bit-identical** either way (enforced by
-    /// `tests/kernel_differential.rs`); the kernel is only faster. The
-    /// default honours the `GUBPI_NO_KERNEL` escape hatch (`repro
-    /// --no-kernel`), so field regressions are diagnosable by flipping
-    /// one env var.
+    /// `tests/kernel_differential.rs`); the kernel is only faster.
+    /// Default `true`.
     pub use_kernel: bool,
     /// Substitute geometric tail enclosures into budget-⊤ paths before
     /// bounding (see [`tail_substituted`]): a ⊤ path carrying a
@@ -158,8 +156,7 @@ pub struct PathBoundOptions {
     /// to the closed-form geometric remainder `[0, x_hi/(1 − c_hi)]`,
     /// turning the path's `+∞` upper-bound contribution into a finite
     /// one. Sound: the remainder dominates every score the truncated
-    /// suffix could still emit. The default honours the `GUBPI_NO_TAIL`
-    /// escape hatch (`repro --no-tail`), under which bounds are
+    /// suffix could still emit. Default `true`; with `false` bounds are
     /// bit-identical to the bare-⊤ behaviour.
     pub use_tail: bool,
 }
@@ -173,23 +170,10 @@ impl Default for PathBoundOptions {
             certified_volumes: false,
             volume_budget: 4_000,
             exact_dim_cap: 7,
-            use_kernel: !kernel_disabled(std::env::var("GUBPI_NO_KERNEL").ok().as_deref()),
-            use_tail: !tail_disabled(std::env::var("GUBPI_NO_TAIL").ok().as_deref()),
+            use_kernel: true,
+            use_tail: true,
         }
     }
-}
-
-/// Does a `GUBPI_NO_KERNEL` value disable the compiled kernel? Any
-/// non-empty value other than `"0"` counts as "disable".
-fn kernel_disabled(value: Option<&str>) -> bool {
-    matches!(value, Some(v) if !v.is_empty() && v != "0")
-}
-
-/// Does a `GUBPI_NO_TAIL` value disable tail substitution? Same
-/// convention as `GUBPI_NO_KERNEL`: any non-empty value other than
-/// `"0"` counts as "disable".
-fn tail_disabled(value: Option<&str>) -> bool {
-    matches!(value, Some(v) if !v.is_empty() && v != "0")
 }
 
 /// The tail-substituted variant of a budget-⊤ path, when the geometric
@@ -956,27 +940,18 @@ fn plan_linear(path: &SymPath, opts: PathBoundOptions, mode: ResultMode) -> Path
 // Gap-driven adaptive region refinement
 // --------------------------------------------------------------------
 
-/// Does a `GUBPI_NO_REFINE` value disable adaptive refinement? Same
-/// convention as `GUBPI_NO_KERNEL`: any non-empty value other than
-/// `"0"` counts as "disable".
-fn refine_disabled(value: Option<&str>) -> bool {
-    matches!(value, Some(v) if !v.is_empty() && v != "0")
-}
-
 /// Options for gap-driven adaptive refinement (kept separate from
 /// [`PathBoundOptions`], which must stay float-free for `Eq`/`Hash`;
 /// the analyzer folds these into its cache key via `f64::to_bits`).
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct RefineOptions {
     /// Refine grid-destined paths adaptively instead of sweeping the
-    /// full uniform grid. The default honours the `GUBPI_NO_REFINE`
-    /// escape hatch (`repro --no-refine`), under which every query is
+    /// full uniform grid. Default `true`; with `false` every query is
     /// bit-identical to the uniform sweep.
     pub refine: bool,
     /// Stop refining once the summed (upper − lower) gap of all
     /// refined paths in a query drops to this value; `0.0` (the
-    /// default) means "spend the whole cell budget". Overridable via
-    /// `GUBPI_GAP_TARGET` / `repro --gap-target`.
+    /// default) means "spend the whole cell budget".
     pub gap_target: f64,
     /// Maximum bisection depth below the seed grid; cells at this
     /// depth settle instead of re-entering the worklist.
@@ -986,12 +961,8 @@ pub struct RefineOptions {
 impl Default for RefineOptions {
     fn default() -> RefineOptions {
         RefineOptions {
-            refine: !refine_disabled(std::env::var("GUBPI_NO_REFINE").ok().as_deref()),
-            gap_target: std::env::var("GUBPI_GAP_TARGET")
-                .ok()
-                .and_then(|v| v.parse::<f64>().ok())
-                .filter(|g| g.is_finite() && *g >= 0.0)
-                .unwrap_or(0.0),
+            refine: true,
+            gap_target: 0.0,
             max_refine_depth: 12,
         }
     }
@@ -1768,26 +1739,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn no_kernel_env_values_parse() {
-        assert!(!kernel_disabled(None));
-        assert!(!kernel_disabled(Some("")));
-        assert!(!kernel_disabled(Some("0")));
-        assert!(kernel_disabled(Some("1")));
-        assert!(kernel_disabled(Some("true")));
-        assert!(kernel_disabled(Some("yes")));
-    }
-
-    #[test]
-    fn no_tail_env_values_parse() {
-        assert!(!tail_disabled(None));
-        assert!(!tail_disabled(Some("")));
-        assert!(!tail_disabled(Some("0")));
-        assert!(tail_disabled(Some("1")));
-        assert!(tail_disabled(Some("true")));
-        assert!(tail_disabled(Some("yes")));
-    }
-
     /// A minimal sampleless ⊤ path: the `[0, ∞]` placeholder is its
     /// only score, exactly as the executor emits it.
     fn top_path_with(tail: Option<TailEnclosure>) -> SymPath {
@@ -1812,7 +1763,7 @@ mod tests {
         };
         let path = top_path_with(Some(tail));
         let opts = PathBoundOptions::default();
-        assert!(opts.use_tail, "tests run without GUBPI_NO_TAIL");
+        assert!(opts.use_tail, "tail substitution is on by default");
         let sub = tail_substituted(&path, &opts).expect("c_hi = 0.5 < 1 must substitute");
         // x_hi/(1 − c_hi) = 1/0.5 = 2, up to outward rounding.
         let SymVal::Interval(iv) = **sub.scores.last().unwrap() else {

@@ -70,9 +70,7 @@ fn analyzer(src: &str, unfold: u32, opts: AnalysisOptions) -> Analyzer {
     Analyzer::from_source(src, opts).expect("model compiles")
 }
 
-/// Grid-forced options with the refinement knobs pinned explicitly (the
-/// `Default` impl reads `GUBPI_NO_REFINE`/`GUBPI_GAP_TARGET`, which must
-/// not leak into these assertions).
+/// Grid-forced options with the refinement knobs pinned explicitly.
 fn grid_opts(splits: usize, refine: bool) -> AnalysisOptions {
     let mut opts = AnalysisOptions {
         method: Method::Grid,
