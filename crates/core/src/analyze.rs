@@ -102,8 +102,9 @@ type QueryKey = (u64, u64, u64, PathBoundOptions, Method, RefineKey);
 
 /// One verified cache entry.
 struct CacheEntry {
-    /// The path the result belongs to (hits re-verify it structurally).
-    path: SymPath,
+    /// The path the result belongs to (hits re-verify it structurally),
+    /// interned: every entry for a structurally equal path shares it.
+    path: Arc<SymPath>,
     /// The memoised `(lo, hi)` bounds.
     bounds: (f64, f64),
     /// Last-access stamp for the coarse-LRU eviction policy; refreshed
@@ -135,7 +136,37 @@ impl CacheStats {
 #[derive(Default)]
 struct CacheMap {
     buckets: HashMap<QueryKey, Vec<CacheEntry>>,
+    paths: InternedPaths,
     entries: usize,
+}
+
+/// One interned copy of each structurally distinct cached path,
+/// grouped by fingerprint. Cache entries share these rather than each
+/// cloning its analyzer's path, so the many queries asked of one path
+/// pin one set of symbolic trees, not one per request.
+#[derive(Default)]
+struct InternedPaths(HashMap<u64, Vec<Arc<SymPath>>>);
+
+impl InternedPaths {
+    /// The interned copy of `path` (whose fingerprint is `fp`),
+    /// interning a clone on first use.
+    fn intern(&mut self, fp: u64, path: &SymPath) -> Arc<SymPath> {
+        let group = self.0.entry(fp).or_default();
+        if let Some(p) = group.iter().find(|p| same_path(p, path)) {
+            return Arc::clone(p);
+        }
+        let p = Arc::new(path.clone());
+        group.push(Arc::clone(&p));
+        p
+    }
+
+    /// Drops the interned paths that no entry references any more.
+    fn drop_unreferenced(&mut self) {
+        self.0.retain(|_, group| {
+            group.retain(|p| Arc::strong_count(p) > 1);
+            !group.is_empty()
+        });
+    }
 }
 
 /// Memo cache for per-path query bounds, shared across worker threads
@@ -255,6 +286,7 @@ impl SharedQueryCache {
         {
             let mut map = self.inner.map.lock().expect("cache poisoned");
             map.buckets.clear();
+            map.paths.0.clear();
             map.entries = 0;
         }
         self.inner.hits.store(0, Ordering::Relaxed);
@@ -284,6 +316,7 @@ impl SharedQueryCache {
             !bucket.is_empty()
         });
         map.entries -= overflow;
+        map.paths.drop_unreferenced();
         self.inner
             .evictions
             .fetch_add(overflow as u64, Ordering::Relaxed);
@@ -396,12 +429,12 @@ fn valid_interval(lo: f64, hi: f64) -> Result<Interval, QueryError> {
 
 /// Structural path equality with an `Arc` pointer fast path.
 ///
-/// Cache entries cloned from an analyzer's own path share every inner
-/// `Arc` with it, so a same-analyzer re-lookup short-circuits on
-/// pointer identity (O(#constraints + #scores) pointer compares) —
-/// important because the comparison runs under the cache mutex. Only
-/// genuinely cross-analyzer hits fall through to the derived
-/// `SymPath::eq`, which stays the single source of truth: a field
+/// A path is interned as a clone of the first analyzer's path that
+/// cached it, sharing every inner `Arc` with it, so that analyzer's
+/// re-lookups short-circuit on pointer identity (O(#constraints +
+/// #scores) pointer compares) — important because the comparison runs
+/// under the cache mutex. Only cross-analyzer hits fall through to the
+/// derived `SymPath::eq`, which stays the single source of truth: a field
 /// added to `SymPath` later is automatically part of the verification,
 /// never silently ignored.
 fn same_path(a: &SymPath, b: &SymPath) -> bool {
@@ -915,7 +948,8 @@ impl Analyzer {
             }
         }
         if !misses.is_empty() {
-            let mut map = self.cache.inner.map.lock().expect("cache poisoned");
+            let mut guard = self.cache.inner.map.lock().expect("cache poisoned");
+            let map = &mut *guard;
             for (mi, (&(i, _), &v)) in misses.iter().zip(&computed).enumerate() {
                 // Degraded per-path results never enter the cache: an
                 // undisturbed re-query must recompute the path at full
@@ -930,14 +964,14 @@ impl Analyzer {
                 // loses nothing.
                 if !bucket.iter().any(|e| same_path(&e.path, &self.paths[i])) {
                     bucket.push(CacheEntry {
-                        path: self.paths[i].clone(),
+                        path: map.paths.intern(self.fingerprints[i], &self.paths[i]),
                         bounds: v,
                         stamp,
                     });
                     map.entries += 1;
                 }
             }
-            self.cache.enforce_cap(&mut map);
+            self.cache.enforce_cap(map);
         }
         let mut per_path = cached;
         for (&(i, _), &v) in misses.iter().zip(&computed) {
@@ -1665,5 +1699,48 @@ mod tests {
         let s = a.cache_stats();
         assert_eq!(s.hits, 0);
         assert_eq!(s.misses, a.paths().len() as u64);
+    }
+
+    /// Interned path copies and entries of a cache: `(paths, entries)`,
+    /// after checking that every entry holds its path's interned copy.
+    fn interned(cache: &SharedQueryCache) -> (usize, usize) {
+        let map = cache.inner.map.lock().unwrap();
+        for e in map.buckets.values().flatten() {
+            let group = &map.paths.0[&e.path.fingerprint()];
+            assert!(
+                group.iter().any(|p| Arc::ptr_eq(p, &e.path)),
+                "entries share the interned copy"
+            );
+        }
+        (map.paths.0.values().map(Vec::len).sum(), map.entries)
+    }
+
+    #[test]
+    fn cache_entries_share_interned_paths() {
+        let src = "let x = sample in (if x <= 0.5 then score(2 * x) else score(1)); x";
+        let opts = AnalysisOptions {
+            threads: Threads::Off,
+            ..Default::default()
+        };
+        let n = analyzer(src).paths().len();
+        let cache = SharedQueryCache::with_capacity(4 * n);
+        // One fresh analyzer (its own symbolic trees) per query, as a
+        // server builds one per request: four queries, one path copy.
+        for k in 0..4 {
+            let a = Analyzer::from_source_with_cache(src, opts, &cache).unwrap();
+            a.denotation_bounds(Interval::new(0.0, 0.2 + 0.1 * k as f64));
+        }
+        assert_eq!(interned(&cache), (n, 4 * n));
+        // Another program's queries evict every entry of the first;
+        // its interned paths go with them.
+        let other = "2 * sample - 1";
+        let m = analyzer(other).paths().len();
+        for k in 0..8 * n {
+            let a = Analyzer::from_source_with_cache(other, opts, &cache).unwrap();
+            a.denotation_bounds(Interval::new(0.0, 0.01 * (k + 1) as f64));
+        }
+        assert_eq!(interned(&cache), (m, 4 * n));
+        cache.clear();
+        assert_eq!(interned(&cache), (0, 0));
     }
 }

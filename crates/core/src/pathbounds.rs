@@ -992,14 +992,53 @@ fn gap_score(fold: QueryFold, (v, lo, hi): Region) -> f64 {
 
 /// A refinable cell on the worklist: its gap contribution, the
 /// canonical sequence number that breaks score ties (assigned in
-/// evaluation order, which is itself deterministic), its bisection
-/// depth, the box, and the region triple it currently contributes.
+/// evaluation order, which is itself deterministic), its slot in the
+/// refiner's slabs (its box and the region triple it currently
+/// contributes live there), and its bisection depth. Kept this small
+/// because every round partitions the whole worklist.
 struct Leaf {
     score: f64,
     seq: u64,
+    slot: u32,
     depth: u32,
-    cell: BoxN,
-    region: Region,
+}
+
+/// The worklist's priority order: score descending via
+/// `f64::total_cmp`, then canonical sequence number ascending. Sequence
+/// numbers are unique, so the order is total.
+fn by_priority(a: &Leaf, b: &Leaf) -> std::cmp::Ordering {
+    b.score.total_cmp(&a.score).then(a.seq.cmp(&b.seq))
+}
+
+/// The volume of a cell stored as a slab row: `BoxN::volume`'s product
+/// of widths, in dimension order from `1.0`, so the bits agree.
+fn cell_volume(cell: &[Interval]) -> f64 {
+    cell.iter().map(Interval::width).product()
+}
+
+/// Bisects the cell `cell` into `out`, appending its two halves as two
+/// slab rows, with exactly [`BoxN::bisect_widest`]'s rule: the widest
+/// finite dimension, the last one on width ties, and no split when
+/// that width is 0 (or no dimension is finite). Returns whether it
+/// split; `out` is untouched otherwise.
+fn bisect_widest_into(cell: &[Interval], out: &mut Vec<Interval>) -> bool {
+    let widest = cell
+        .iter()
+        .enumerate()
+        .filter(|(_, iv)| iv.is_finite())
+        .max_by(|a, b| a.1.width().total_cmp(&b.1.width()));
+    let Some((d, iv)) = widest else { return false };
+    if iv.width() == 0.0 {
+        return false;
+    }
+    let (left, right) = iv.bisect();
+    let n = cell.len();
+    let at = out.len();
+    out.extend_from_slice(cell);
+    out.extend_from_slice(cell);
+    out[at + d] = left;
+    out[at + n + d] = right;
+    true
 }
 
 /// Gap-driven adaptive refinement of one grid-destined path (§6.3
@@ -1014,6 +1053,15 @@ struct Leaf {
 /// partition the parent box exactly, and interval evaluation is
 /// inclusion-monotone, so every round only tightens the path's bounds
 /// — the refined result is always contained in the uniform sweep's.
+///
+/// # Storage
+///
+/// Cells never live in per-cell allocations. A round's batch is one
+/// strided slab (`n_samples` intervals per cell) that the compiled
+/// tape reads directly; worklist leaves hold a slot into a second
+/// slab, whose freed slots (bisected leaves) are reused by the next
+/// round's refinable children. Each round selects its leaves by
+/// partial selection and sorts only those, not the whole worklist.
 ///
 /// # Determinism
 ///
@@ -1033,8 +1081,18 @@ pub struct GridRefiner<'a> {
     used: usize,
     settled: (f64, f64),
     settled_gap: f64,
+    /// Leaves with a positive score below the maximum depth — nothing
+    /// else is ever pushed.
     frontier: Vec<Leaf>,
-    pending: Vec<BoxN>,
+    /// The leaves' cells, `n_samples` intervals per slot.
+    slab: Vec<Interval>,
+    /// The leaves' region triples, one per slot.
+    regions: Vec<Region>,
+    /// Slots of bisected leaves, reused before the slabs grow.
+    free: Vec<u32>,
+    /// This round's batch, `n_samples` intervals per cell.
+    pending: Vec<Interval>,
+    /// Bisection depth of each pending cell (one entry per cell).
     pending_depth: Vec<u32>,
     next_seq: u64,
     splits: u64,
@@ -1071,10 +1129,10 @@ impl<'a> GridRefiner<'a> {
         let k0 = grid_splits((k / 4).clamp(2, 8), n, (budget / 4).max(1));
         let cell_edges: Vec<Interval> = Interval::UNIT.split(k0);
         let total = k0.pow(n as u32);
-        let mut pending: Vec<BoxN> = Vec::with_capacity(total);
+        let mut pending: Vec<Interval> = Vec::with_capacity(total * n);
         let mut odo = Odometer::at(n, 0, |_| k0);
         for _ in 0..total {
-            pending.push((0..n).map(|d| cell_edges[odo.digits[d]]).collect());
+            pending.extend(odo.digits.iter().map(|&e| cell_edges[e]));
             odo.step(|_| k0);
         }
         Some(GridRefiner {
@@ -1087,8 +1145,11 @@ impl<'a> GridRefiner<'a> {
             settled: (0.0, 0.0),
             settled_gap: 0.0,
             frontier: Vec::new(),
-            pending_depth: vec![0; total],
+            slab: Vec::new(),
+            regions: Vec::new(),
+            free: Vec::new(),
             pending,
+            pending_depth: vec![0; total],
             next_seq: 0,
             splits: 0,
             done: false,
@@ -1098,48 +1159,48 @@ impl<'a> GridRefiner<'a> {
 
     /// Moves the next batch of cells from the worklist into `pending`,
     /// returning whether this refiner has cells to evaluate this
-    /// round. Pop count scales with the worklist (a quarter of the
-    /// positive-score prefix, at least 8) so the shape of the
-    /// refinement tree is driven by the gap landscape; the remaining
-    /// cell budget only truncates it, which keeps refinement trees at
-    /// different budgets nested prefixes of each other.
+    /// round. Pop count scales with the worklist (a quarter of it, at
+    /// least 8) so the shape of the refinement tree is driven by the
+    /// gap landscape; the remaining cell budget only truncates it,
+    /// which keeps refinement trees at different budgets nested
+    /// prefixes of each other.
     fn select_batch(&mut self) -> bool {
-        if !self.pending.is_empty() {
+        if !self.pending_depth.is_empty() {
             return true; // round 0: the seed grid is already pending
         }
         if self.done {
             return false;
         }
         let remaining = self.budget.saturating_sub(self.used);
-        if remaining < 2 || self.frontier.is_empty() {
+        let live = self.frontier.len();
+        if remaining < 2 || live == 0 {
             self.done = true;
             return false;
         }
+        let pops = live.min(remaining / 2).min((live / 4).max(8));
+        // Only the popped leaves need the priority order: partition
+        // them to the back (so taking them moves nothing else), then
+        // sort just those.
+        let rest = live - pops;
         self.frontier
-            .sort_by(|a, b| b.score.total_cmp(&a.score).then(a.seq.cmp(&b.seq)));
-        let positive = self.frontier.iter().take_while(|l| l.score > 0.0).count();
-        if positive == 0 {
-            self.done = true;
-            return false;
-        }
-        let pops = positive.min(remaining / 2).min((positive / 4).max(8));
-        for leaf in self.frontier.drain(..pops) {
-            match leaf.cell.bisect_widest() {
-                Some((a, b)) => {
-                    self.splits += 1;
-                    self.pending.push(a);
-                    self.pending.push(b);
-                    self.pending_depth.push(leaf.depth + 1);
-                    self.pending_depth.push(leaf.depth + 1);
-                }
-                None => {
-                    // Degenerate (point) box: nothing left to split.
-                    self.fold.apply(&mut self.settled, leaf.region);
-                    self.settled_gap += leaf.score;
-                }
+            .select_nth_unstable_by(rest, |a, b| by_priority(b, a));
+        self.frontier[rest..].sort_unstable_by(by_priority);
+        let n = self.path.n_samples;
+        for leaf in self.frontier.drain(rest..) {
+            let at = leaf.slot as usize * n;
+            if bisect_widest_into(&self.slab[at..at + n], &mut self.pending) {
+                self.splits += 1;
+                self.pending_depth.push(leaf.depth + 1);
+                self.pending_depth.push(leaf.depth + 1);
+            } else {
+                // Degenerate (point) box: nothing left to split.
+                self.fold
+                    .apply(&mut self.settled, self.regions[leaf.slot as usize]);
+                self.settled_gap += leaf.score;
             }
+            self.free.push(leaf.slot);
         }
-        !self.pending.is_empty()
+        !self.pending_depth.is_empty()
     }
 
     /// The pending batch as a stealable region sweep. Cells are tagged
@@ -1148,20 +1209,22 @@ impl<'a> GridRefiner<'a> {
     /// constraint ∃-test) are simply absent and settle with zero
     /// contribution.
     fn round_job(&self) -> PathJob<'_, (usize, Region)> {
-        if self.pending.is_empty() {
+        let total = self.pending_depth.len();
+        if total == 0 {
             return PathJob::Ready(Vec::new());
         }
-        let boxes = &self.pending;
+        let cells = &self.pending;
+        let n = self.path.n_samples;
         match &self.tape {
             Some(tape) => PathJob::Sweep {
-                total: boxes.len(),
+                total,
                 cost: tape.cost(),
                 process: Box::new(move |range: Range<usize>, buf| {
                     note_kernel_cells(range.len() as u64);
                     let mut scratch = tape.scratch();
-                    let slice = &boxes[range.clone()];
-                    tape.eval_boxes(&mut scratch, slice, |i, cell| {
-                        let vol = slice[i].volume();
+                    let slab = &cells[range.start * n..range.end * n];
+                    tape.eval_slab(&mut scratch, slab, |i, cell| {
+                        let vol = cell_volume(&slab[i * n..(i + 1) * n]);
                         let lo = if cell.definite {
                             vol * cell.weight.lo()
                         } else {
@@ -1174,18 +1237,18 @@ impl<'a> GridRefiner<'a> {
             None => {
                 let path = self.path;
                 PathJob::Sweep {
-                    total: boxes.len(),
+                    total,
                     cost: tree_walk_cost(path),
                     process: Box::new(move |range: Range<usize>, buf| {
                         for idx in range {
-                            let cell = &boxes[idx];
-                            if !path.constraints_on_box(cell, false) {
+                            let cell = BoxN::new(cells[idx * n..(idx + 1) * n].to_vec());
+                            if !path.constraints_on_box(&cell, false) {
                                 continue;
                             }
                             let vol = cell.volume();
-                            let w = path.weight_range_over_box(cell);
-                            let v = path.result.range_over_box(cell);
-                            let definite = path.constraints_on_box(cell, true);
+                            let w = path.weight_range_over_box(&cell);
+                            let v = path.result.range_over_box(&cell);
+                            let definite = path.constraints_on_box(&cell, true);
                             let lo = if definite { vol * w.lo() } else { 0.0 };
                             buf.push((idx, (v, lo, vol * w.hi())));
                         }
@@ -1195,34 +1258,63 @@ impl<'a> GridRefiner<'a> {
         }
     }
 
-    /// Folds one round's replayed region stream back into the refiner:
-    /// refinable cells (positive score, below max depth) join the
-    /// worklist, everything else settles into the accumulated bounds.
-    fn integrate(&mut self, out: &[(usize, Region)]) {
-        self.used += self.pending.len();
+    /// Files one round's evaluated cells: refinable cells (positive
+    /// score, below max depth) join the worklist, their intervals
+    /// copied into a free slab slot; everything else settles into the
+    /// accumulated bounds.
+    fn file_evaluated(&mut self, out: &[(usize, Region)]) {
+        let n = self.path.n_samples;
         for &(idx, region) in out {
             let score = gap_score(self.fold, region);
             let depth = self.pending_depth[idx];
             if score > 0.0 && depth < self.max_depth {
+                let cell = &self.pending[idx * n..(idx + 1) * n];
+                let slot = match self.free.pop() {
+                    Some(slot) => {
+                        let at = slot as usize * n;
+                        self.slab[at..at + n].copy_from_slice(cell);
+                        self.regions[slot as usize] = region;
+                        slot
+                    }
+                    None => {
+                        let slot = u32::try_from(self.regions.len())
+                            .expect("worklist fits the u32 slot space");
+                        self.slab.extend_from_slice(cell);
+                        self.regions.push(region);
+                        slot
+                    }
+                };
                 self.frontier.push(Leaf {
                     score,
                     seq: self.next_seq + idx as u64,
+                    slot,
                     depth,
-                    cell: self.pending[idx].clone(),
-                    region,
                 });
             } else {
                 self.fold.apply(&mut self.settled, region);
                 self.settled_gap += score;
             }
         }
-        self.next_seq += self.pending.len() as u64;
+    }
+
+    /// Closes a round: advances the canonical sequence past every
+    /// pending cell and empties the batch.
+    fn end_round(&mut self) {
+        self.next_seq += self.pending_depth.len() as u64;
         self.pending.clear();
         self.pending_depth.clear();
     }
 
+    /// Folds one round's replayed region stream back into the refiner
+    /// (see [`file_evaluated`](Self::file_evaluated)).
+    fn integrate(&mut self, out: &[(usize, Region)]) {
+        self.used += self.pending_depth.len();
+        self.file_evaluated(out);
+        self.end_round();
+    }
+
     /// [`integrate`](Self::integrate) for a round whose sweep was
-    /// cancelled after evaluating only the prefix `pending[..done]`.
+    /// cancelled after evaluating only the first `done` pending cells.
     /// Evaluated cells integrate normally (an absent index below `done`
     /// really is a dead cell and contributes nothing); every
     /// unevaluated cell settles conservatively as its volume-share of
@@ -1231,7 +1323,7 @@ impl<'a> GridRefiner<'a> {
     /// stay sound, merely coarser. Marks the refiner degraded when any
     /// cell had to settle this way.
     fn integrate_interrupted(&mut self, out: &[(usize, Region)], done: usize) {
-        let total = self.pending.len();
+        let total = self.pending_depth.len();
         let done = done.min(total);
         if done == total {
             self.integrate(out);
@@ -1239,47 +1331,28 @@ impl<'a> GridRefiner<'a> {
         }
         self.interrupted = true;
         self.used += done;
-        for &(idx, region) in out {
-            let score = gap_score(self.fold, region);
-            let depth = self.pending_depth[idx];
-            if score > 0.0 && depth < self.max_depth {
-                self.frontier.push(Leaf {
-                    score,
-                    seq: self.next_seq + idx as u64,
-                    depth,
-                    cell: self.pending[idx].clone(),
-                    region,
-                });
-            } else {
-                self.fold.apply(&mut self.settled, region);
-                self.settled_gap += score;
-            }
-        }
+        self.file_evaluated(out);
         if let Some((v, _, whole_hi)) = coarse_path_enclosure(self.path) {
-            for cell in &self.pending[done..] {
-                let mass = cell.volume() * whole_hi;
+            let n = self.path.n_samples;
+            for cell in self.pending[done * n..].chunks_exact(n) {
+                let mass = cell_volume(cell) * whole_hi;
                 // 0 · ∞ for a measure-zero cell: its true mass is 0.
                 let region = (v, 0.0, if mass.is_nan() { 0.0 } else { mass });
                 self.fold.apply(&mut self.settled, region);
                 self.settled_gap += gap_score(self.fold, region);
             }
         }
-        self.next_seq += total as u64;
-        self.pending.clear();
-        self.pending_depth.clear();
+        self.end_round();
     }
 
     /// Whether the refiner still has work it would schedule: a pending
-    /// batch, or remaining budget plus a positive-gap worklist. Used to
+    /// batch, or remaining budget plus a non-empty worklist. Used to
     /// mark refiners degraded when cancellation lands between rounds.
     fn would_refine(&self) -> bool {
-        if !self.pending.is_empty() {
+        if !self.pending_depth.is_empty() {
             return true;
         }
-        if self.done {
-            return false;
-        }
-        self.budget.saturating_sub(self.used) >= 2 && self.frontier.iter().any(|l| l.score > 0.0)
+        !self.done && self.budget.saturating_sub(self.used) >= 2 && !self.frontier.is_empty()
     }
 
     /// Whether cancellation cut this refiner short of the refinement it
@@ -1295,7 +1368,9 @@ impl<'a> GridRefiner<'a> {
     }
 
     /// The path's current (upper − lower) gap: settled cells plus the
-    /// still-refinable worklist.
+    /// still-refinable worklist. The worklist is summed in its storage
+    /// order, which partial selection leaves deterministic but
+    /// unsorted, so the last bits follow that order.
     pub fn gap(&self) -> f64 {
         let mut gap = self.settled_gap;
         for leaf in &self.frontier {
@@ -1317,9 +1392,10 @@ impl<'a> GridRefiner<'a> {
     /// Settles the remaining worklist (in canonical sequence order)
     /// and returns the path's final `(lo, hi)` bounds.
     fn finish(&mut self) -> (f64, f64) {
-        self.frontier.sort_by_key(|leaf| leaf.seq);
+        self.frontier.sort_unstable_by_key(|leaf| leaf.seq);
         for leaf in self.frontier.drain(..) {
-            self.fold.apply(&mut self.settled, leaf.region);
+            self.fold
+                .apply(&mut self.settled, self.regions[leaf.slot as usize]);
             self.settled_gap += leaf.score;
         }
         self.settled
@@ -1374,6 +1450,8 @@ fn run_adaptive_refinement_inner(
     cancel: Option<&CancelToken>,
 ) -> Vec<(f64, f64)> {
     let mut rounds: u64 = 0;
+    // Per-refiner replay buffers, reused round after round.
+    let mut outs: Vec<Vec<(usize, Region)>> = refiners.iter().map(|_| Vec::new()).collect();
     loop {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             for r in refiners.iter_mut() {
@@ -1390,7 +1468,9 @@ fn run_adaptive_refinement_inner(
         if !any {
             break;
         }
-        let mut outs: Vec<Vec<(usize, Region)>> = refiners.iter().map(|_| Vec::new()).collect();
+        for out in &mut outs {
+            out.clear();
+        }
         let progress = {
             let jobs: Vec<PathJob<'_, (usize, Region)>> =
                 refiners.iter().map(GridRefiner::round_job).collect();
@@ -1998,5 +2078,69 @@ mod tests {
             };
             assert!(tree_cost > 0);
         }
+    }
+
+    /// The refiner's slab bisection must split exactly like
+    /// `BoxN::bisect_widest`: the same dimension, the same two
+    /// children and the same "no split" verdict. Every box over the
+    /// per-dimension choices below is checked, which covers width ties
+    /// (the last maximum wins), zero-width dimensions beside and
+    /// instead of splittable ones, and unbounded dimensions (skipped,
+    /// even when wider).
+    #[test]
+    fn slab_bisection_matches_boxn_bisect_widest() {
+        let inf = f64::INFINITY;
+        let choices = [
+            Interval::new(0.25, 0.25),
+            Interval::new(0.0, 0.25),
+            Interval::new(0.5, 0.75),
+            Interval::new(0.0, 0.5),
+            Interval::new(0.0, inf),
+            Interval::new(-inf, inf),
+            Interval::new(inf, inf),
+        ];
+        let bits = |cells: &[Interval]| -> Vec<(u64, u64)> {
+            cells
+                .iter()
+                .map(|iv| (iv.lo().to_bits(), iv.hi().to_bits()))
+                .collect()
+        };
+        let split_dim = |parent: &[Interval], child: &[Interval]| {
+            let (p, c) = (bits(parent), bits(child));
+            (0..p.len()).filter(|&d| p[d] != c[d]).collect::<Vec<_>>()
+        };
+        let mut splits = 0;
+        for n in 1..=3u32 {
+            for code in 0..choices.len().pow(n) {
+                let cell: Vec<Interval> = (0..n)
+                    .map(|d| choices[code / choices.len().pow(d) % choices.len()])
+                    .collect();
+                let n = cell.len();
+                // A row already in the slab must stay untouched.
+                let sentinel = Interval::new(-1.0, 2.0);
+                let mut slab = vec![sentinel];
+                let split = bisect_widest_into(&cell, &mut slab);
+                assert_eq!(bits(&slab[..1]), bits(&[sentinel]), "{cell:?}");
+                match BoxN::new(cell.clone()).bisect_widest() {
+                    Some((a, b)) => {
+                        splits += 1;
+                        assert!(split, "{cell:?}: BoxN splits, the slab does not");
+                        assert_eq!(slab.len(), 1 + 2 * n, "{cell:?}");
+                        let (left, right) = slab[1..].split_at(n);
+                        assert_eq!(bits(left), bits(a.intervals()), "{cell:?} left");
+                        assert_eq!(bits(right), bits(b.intervals()), "{cell:?} right");
+                        let dim = split_dim(&cell, a.intervals());
+                        assert_eq!(dim.len(), 1, "{cell:?}: one dimension splits");
+                        assert_eq!(split_dim(&cell, left), dim, "{cell:?} dimension");
+                        assert_eq!(split_dim(&cell, right), dim, "{cell:?} dimension");
+                    }
+                    None => {
+                        assert!(!split, "{cell:?}: the slab splits, BoxN does not");
+                        assert_eq!(slab.len(), 1, "{cell:?}: no rows on no split");
+                    }
+                }
+            }
+        }
+        assert!(splits > 0, "the grid must contain splittable boxes");
     }
 }

@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gubpi_analysis::ProgramFacts;
-use gubpi_interval::{BoxN, Interval};
+use gubpi_interval::Interval;
 use gubpi_lang::PrimOp;
 
 use crate::path::{CmpDir, SymPath};
@@ -863,26 +863,41 @@ impl Tape {
         }
     }
 
-    /// Evaluates an **irregular batch** of boxes — the adaptive
+    /// Evaluates an **irregular batch** of cells — the adaptive
     /// refiner's child cells, which unlike a uniform sweep share no
-    /// odometer structure — in [`LANES`]-sized blocks, calling
-    /// `emit(index, bounds)` for every box not excluded by a check, in
-    /// ascending index order. Re-entrant over a shared scratch: every
-    /// input register and instruction output is rewritten per block and
-    /// constants are preloaded into all lanes, so interleaving calls on
-    /// one scratch (round after round) cannot leak state between
-    /// batches.
-    pub fn eval_boxes(
+    /// odometer structure — stored as one strided slab of
+    /// [`n_inputs`](Self::n_inputs) intervals per cell. Runs in
+    /// [`LANES`]-sized blocks, calling `emit(index, bounds)` for every
+    /// cell not excluded by a check, in ascending index order.
+    /// Re-entrant over a shared scratch: every input register and
+    /// instruction output is rewritten per block and constants are
+    /// preloaded into all lanes, so interleaving calls on one scratch
+    /// (round after round) cannot leak state between batches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tape has no inputs (a cell would be the empty
+    /// box, which a slab cannot delimit) or `cells.len()` is not a
+    /// multiple of the input count.
+    pub fn eval_slab(
         &self,
         s: &mut TapeScratch,
-        boxes: &[BoxN],
+        cells: &[Interval],
         mut emit: impl FnMut(usize, CellBounds),
     ) {
+        let n = self.n_inputs;
+        assert!(
+            n > 0 && cells.len().is_multiple_of(n),
+            "a slab holds whole cells of {n} > 0 intervals, got {}",
+            cells.len()
+        );
+        let count = cells.len() / n;
         let mut at = 0usize;
-        while at < boxes.len() {
-            let lanes = LANES.min(boxes.len() - at);
-            for (l, cell) in boxes[at..at + lanes].iter().enumerate() {
-                for (dim, &iv) in cell.intervals().iter().enumerate() {
+        while at < count {
+            let lanes = LANES.min(count - at);
+            let block = &cells[at * n..(at + lanes) * n];
+            for (l, cell) in block.chunks_exact(n).enumerate() {
+                for (dim, &iv) in cell.iter().enumerate() {
                     s.set_input(dim, l, iv);
                 }
             }
@@ -1200,7 +1215,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_boxes_handles_irregular_batches_reentrantly() {
+    fn eval_slab_handles_irregular_batches_reentrantly() {
         let path = demo_path();
         let tape = Tape::for_path(&path);
         let mut scratch = tape.scratch();
@@ -1208,26 +1223,25 @@ mod tests {
         // Batch sizes that are not lane multiples, reusing one scratch
         // across rounds like the adaptive refiner does.
         for batch in [1usize, 7, LANES, LANES + 3, 2 * LANES + 1] {
-            let boxes: Vec<BoxN> = (0..batch)
-                .map(|i| {
+            let slab: Vec<Interval> = (0..batch)
+                .flat_map(|i| {
                     let x = i as f64 / batch as f64;
-                    BoxN::new(vec![
+                    [
                         Interval::new(x / 2.0, x / 2.0 + 0.3),
                         Interval::new(0.2, 0.2 + x / 2.0),
-                    ])
+                    ]
                 })
                 .collect();
             let mut got: Vec<Option<CellBounds>> = vec![None; batch];
             let mut last = 0usize;
-            tape.eval_boxes(&mut scratch, &boxes, |i, cell| {
+            tape.eval_slab(&mut scratch, &slab, |i, cell| {
                 assert!(got[i].is_none() && i >= last, "ascending index order");
                 last = i;
                 got[i] = Some(cell);
             });
-            for (i, b) in boxes.iter().enumerate() {
-                let dims: Vec<Interval> = b.intervals().to_vec();
-                let want = tape.eval_cell(&dims, &mut scalar);
-                assert_same(got[i], want, &format!("batch {batch} box {i}"));
+            for (i, dims) in slab.chunks_exact(2).enumerate() {
+                let want = tape.eval_cell(dims, &mut scalar);
+                assert_same(got[i], want, &format!("batch {batch} cell {i}"));
             }
         }
     }
